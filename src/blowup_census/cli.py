@@ -17,6 +17,7 @@ from typing import Sequence
 from .counting import (
     DEFAULT_SUBSET_CAP,
     CounterMismatchError,
+    CountParityError,
     SubsetCapExceeded,
     count_induced_c4_diagonal,
     count_induced_c4_enum,
@@ -53,12 +54,23 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="worker processes for the counters; results are identical for any count",
+        help="worker processes for the enumeration counter, capped at the core "
+        "count; results are identical for any count",
     )
 
 
@@ -189,7 +201,7 @@ def _cmd_count(args) -> int:
                 graph, subset_cap=args.subset_cap, workers=args.workers
             )
         else:
-            res = count_induced_c4_diagonal(graph, workers=args.workers)
+            res = count_induced_c4_diagonal(graph)
         results.append(res)
 
     agreed = len({r.value for r in results}) == 1
@@ -326,7 +338,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GraphFormatError, VertexCapExceeded, SubsetCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CounterMismatchError as exc:
+    except (CounterMismatchError, CountParityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

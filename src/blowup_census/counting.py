@@ -8,16 +8,20 @@ Two deliberately independent algorithms, each exact:
 * the diagonal method sums, over non-edges {u, v}, the number of unordered
   non-adjacent pairs inside N(u) & N(v), then halves.  An induced 4-cycle has
   exactly two non-adjacent diagonal pairs, so it is counted once per diagonal
-  and the raw sum is always even.
+  and the raw sum is always even.  It handles all non-edges {u, v > u} of
+  one vertex u with a single float32 matrix product, exact below 2**24
+  vertices (see ``_diagonal_raw_sum``).
 
 Blow-up graphs are dense with comparatively few non-edges, which is what
-makes the diagonal method the scalable one here.  Both counters may split
-their iteration space across worker processes; partial counts combine by
-integer addition, so results are bit-identical for any worker count.
+makes the diagonal method the scalable one here.  Enumeration may split its
+subsets across worker processes; partial counts combine by integer
+addition, so results are bit-identical for any worker count.  The diagonal
+method runs in one process and gets its parallelism from BLAS threads.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,11 +30,12 @@ from math import comb
 
 import numpy as np
 
-from .graphs import Graph, non_edges
+from .graphs import Graph, VertexCapExceeded
 
 __all__ = [
     "DEFAULT_SUBSET_CAP",
     "CheckedCount",
+    "CountParityError",
     "CountResult",
     "CounterMismatchError",
     "Method",
@@ -43,11 +48,13 @@ __all__ = [
 # Refusal threshold for the exhaustive counter, in 4-subsets.
 DEFAULT_SUBSET_CAP = 10**9
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
 
 class SubsetCapExceeded(RuntimeError):
     """The exhaustive scan was refused because C(n, 4) exceeds the work cap."""
+
+
+class CountParityError(RuntimeError):
+    """A parity invariant of the diagonal counter failed: a bug, never a data issue."""
 
 
 class CounterMismatchError(RuntimeError):
@@ -139,6 +146,11 @@ def _enum_worker(args) -> int:
     return _enum_count(adj, b_values)
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes worth starting: at most one per usable core and per task."""
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
+
+
 def count_induced_c4_enum(
     g: Graph,
     *,
@@ -161,11 +173,12 @@ def count_induced_c4_enum(
         )
     adj = _dense_adjacency(g)
     bs = range(1, g.n - 2)
-    if workers <= 1:
+    size = _pool_size(workers, len(bs))
+    if size == 1:
         value = _enum_count(adj, bs)
     else:
-        chunks = [list(bs)[w::workers] for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = [bs[w::size] for w in range(size)]
+        with ProcessPoolExecutor(max_workers=size) as pool:
             value = sum(pool.map(_enum_worker, [(adj, c) for c in chunks]))
     return CountResult(value, Method.ENUMERATION, time.perf_counter() - start)
 
@@ -173,47 +186,68 @@ def count_induced_c4_enum(
 # ---------------------------------------------------------------------------
 # Diagonal-pair method
 # ---------------------------------------------------------------------------
+#
+# For a fixed u, every non-edge {u, v} with v > u has common neighbourhood
+# S_v inside N(u).  With X the 0/1 rows of those v restricted to the columns
+# N(u), and A_u the adjacency matrix restricted to N(u), row v of X @ A_u
+# holds |N(w) & S_v| for each w in N(u); masking it with X and summing gives
+# twice the number of edges inside S_v.  One matmul per u covers all of its
+# non-edges {u, v > u}.
+
+# float32 represents every integer below 2**24 exactly.
+FLOAT32_EXACT_LIMIT = 1 << 24
 
 
-def _diagonal_raw_for_pairs(packed: np.ndarray, n: int, pairs) -> int:
-    """Sum over the given non-edges of the non-adjacent pairs in the common
-    neighborhood, computed as C(|S|, 2) - (1/2) * sum_{w in S} |N(w) & S|."""
+def _diagonal_raw(adj: np.ndarray) -> int:
+    """Sum over non-edges {u, v} of the non-adjacent pairs in N(u) & N(v),
+    computed per u as C(s_v, 2) - (1/2) * rowsum_v((X @ A_u) * X)."""
     raw = 0
-    for u, v in pairs:
-        common = packed[u] & packed[v]
-        s = int(_POP8[common].sum(dtype=np.int64))
-        if s < 2:
+    for u, row in enumerate(adj):
+        nbrs = np.flatnonzero(row)
+        if len(nbrs) < 2:
             continue
-        members = np.flatnonzero(np.unpackbits(common, count=n, bitorder="little"))
-        inside = packed[members] & common
-        twice_edges = int(_POP8[inside].sum(dtype=np.int64))
-        assert twice_edges % 2 == 0, "handshake parity violated: packing bug"
-        raw += s * (s - 1) // 2 - twice_edges // 2
+        far = np.flatnonzero(row[u + 1 :] == 0) + (u + 1)
+        if not len(far):
+            continue
+        common = adj[far][:, nbrs].astype(np.float32)
+        paths = common @ adj[nbrs][:, nbrs].astype(np.float32)
+        sizes = common.sum(axis=1, dtype=np.int64)
+        twice_edges = (paths * common).sum(axis=1, dtype=np.int64)
+        if (twice_edges & 1).any():
+            raise CountParityError("handshake parity violated: adjacency is not symmetric")
+        raw += sum((sizes * (sizes - 1) // 2 - twice_edges // 2).tolist())
     return raw
 
 
-def _diagonal_worker(args) -> int:
-    packed, n, pairs = args
-    return _diagonal_raw_for_pairs(packed, n, pairs)
+def _diagonal_raw_sum(g: Graph) -> int:
+    """Raw diagonal sum, before halving; even for every simple graph.
+
+    The matrix products run in float32.  Entry (v, w) of X @ A_u is
+    |N(w) & S_v| <= deg(u) < n, and it is reached through partial sums of
+    0/1 products that never exceed it; masking by X keeps the same bound.
+    While n < 2**24 each of these values is an integer that float32
+    represents exactly, so larger graphs are refused before any matrix is
+    allocated.  Row sums and C(s, 2) terms are reduced in int64 (each below
+    2**48) and added up as Python ints.
+    """
+    if g.n >= FLOAT32_EXACT_LIMIT:
+        raise VertexCapExceeded(
+            f"the diagonal counter is exact only below {FLOAT32_EXACT_LIMIT} "
+            f"(2**24) vertices, got {g.n}"
+        )
+    return _diagonal_raw(_dense_adjacency(g))
 
 
-def _diagonal_raw_sum(g: Graph, *, workers: int = 1) -> int:
-    """Raw diagonal sum, before halving; even for every simple graph."""
-    packed = _packed_rows(g)
-    pairs = list(non_edges(g))
-    if workers <= 1:
-        return _diagonal_raw_for_pairs(packed, g.n, pairs)
-    step = (len(pairs) + workers - 1) // workers or 1
-    chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_diagonal_worker, [(packed, g.n, c) for c in chunks]))
+def count_induced_c4_diagonal(g: Graph) -> CountResult:
+    """Count induced 4-cycles via common neighborhoods of non-edges.
 
-
-def count_induced_c4_diagonal(g: Graph, *, workers: int = 1) -> CountResult:
-    """Count induced 4-cycles via common neighborhoods of non-edges."""
+    Refuses graphs of 2**24 or more vertices (VertexCapExceeded), on which
+    the float32 products could be inexact.
+    """
     start = time.perf_counter()
-    raw = _diagonal_raw_sum(g, workers=workers)
-    assert raw % 2 == 0, "diagonal sum parity violated: counting bug"
+    raw = _diagonal_raw_sum(g)
+    if raw % 2:
+        raise CountParityError(f"diagonal raw sum {raw} is odd: counting bug")
     return CountResult(raw // 2, Method.DIAGONAL, time.perf_counter() - start)
 
 
@@ -229,7 +263,7 @@ def count_both_and_check(
     signals a bug in this package, not a property of the input graph.
     """
     enum_result = count_induced_c4_enum(g, subset_cap=subset_cap, workers=workers)
-    diag_result = count_induced_c4_diagonal(g, workers=workers)
+    diag_result = count_induced_c4_diagonal(g)
     if enum_result.value != diag_result.value:
         raise CounterMismatchError(enum_result.value, diag_result.value)
     return CheckedCount(enum_result.value, enum_result, diag_result)

@@ -300,7 +300,7 @@ def _build_level(
     elif graph is None:
         t_diag = SKIPPED_CAP
     else:
-        result = count_induced_c4_diagonal(graph, workers=config.workers)
+        result = count_induced_c4_diagonal(graph)
         t_diag = result.value
         timings["diagonal"] = result.elapsed
 

@@ -266,3 +266,21 @@ def test_criterion_9_method_equivalence_and_invariance():
         f"1000 seeded graphs agree across methods; 100 relabelings per family "
         f"invariant; {elapsed:.1f}s < 30s",
     )
+
+
+def test_criterion_10_c4_level_four_diagonal():
+    # no subset scan reaches C(1024, 4) ~ 4.6e10 under the default cap, so
+    # the diagonal counter is the only graph-level check of this level
+    expected = 7740798208
+    assert c4_recurrence_T(4) == c4_closed_T(4, Variant.DERIVED) == expected
+
+    g = nested_blowup(BlowupSpec(Family.C4, 4))
+    assert (g.n, g.edge_count, g.non_edge_count) == (1024, 349184, 174592)
+    diag = count_induced_c4_diagonal(g)
+    assert diag.value == expected
+    assert diag.elapsed < 60.0
+    _report(
+        10,
+        f"diagonal on 1024 vertices {diag.value} == recurrence == derived in "
+        f"{diag.elapsed:.1f}s < 60s",
+    )

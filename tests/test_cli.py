@@ -196,6 +196,17 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["count", "verify"])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_rejected(command, workers, capsys):
+    argv = [command, "--family", "c4", "--workers", workers]
+    argv += ["--level", "0"] if command == "count" else ["--max-level", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "blowup_census", "sequence", "--family", "c4",

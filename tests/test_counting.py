@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +14,12 @@ from hypothesis import strategies as st
 from blowup_census import (
     BlowupSpec,
     CounterMismatchError,
+    CountParityError,
     Family,
     Graph,
     Method,
     SubsetCapExceeded,
+    VertexCapExceeded,
     complete_graph,
     count_both_and_check,
     count_induced_c4_diagonal,
@@ -25,7 +30,8 @@ from blowup_census import (
     relabel,
     theta_222,
 )
-from blowup_census.counting import _diagonal_raw_sum
+from blowup_census import counting
+from blowup_census.counting import _diagonal_raw, _diagonal_raw_sum, _pool_size
 from helpers import brute_force_c4_count, random_graph
 
 
@@ -47,9 +53,9 @@ def test_k4_has_none():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_tiny_graphs_count_zero(n):
-    g = empty_graph(n)
-    assert count_induced_c4_enum(g).value == 0
-    assert count_induced_c4_diagonal(g).value == 0
+    for g in (complete_graph(n), empty_graph(n), random_graph(n, 0.5, n)):
+        assert count_induced_c4_enum(g).value == 0
+        assert count_induced_c4_diagonal(g).value == 0
 
 
 @pytest.mark.parametrize("n", range(4, 17))
@@ -65,6 +71,66 @@ def test_removing_any_c4_edge_kills_the_cycle():
         g = Graph.from_edges(4, [e for e in edges if e != drop])
         assert count_induced_c4_enum(g).value == 0
         assert count_induced_c4_diagonal(g).value == 0
+
+
+_C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+@pytest.mark.parametrize(
+    "n, edges, expected",
+    [
+        # isolated vertex 5 and degree-1 vertices 2, 3, 4: fewer than 2 neighbours
+        (6, [(0, 1), (0, 2), (0, 3), (1, 4)], 0),
+        # a C4 with a pendant vertex and an isolated one
+        (6, _C4 + [(3, 4)], 1),
+        # vertex 0 is adjacent to every v > 0, so it has no non-edge to scan
+        (5, [(0, v) for v in range(1, 5)] + [(a + 1, b + 1) for a, b in _C4], 1),
+        # K_{3,3}: every pair of one side with every pair of the other
+        (6, [(a, b) for a in range(3) for b in range(3, 6)], 9),
+        # two disjoint C4s joined by one edge
+        (8, _C4 + [(a + 4, b + 4) for a, b in _C4] + [(3, 4)], 2),
+    ],
+)
+def test_diagonal_edge_cases_match_enumeration(n, edges, expected):
+    g = Graph.from_edges(n, edges)
+    assert count_induced_c4_enum(g).value == expected
+    assert count_induced_c4_diagonal(g).value == expected
+
+
+def test_diagonal_matches_enumeration_across_densities():
+    rng = random.Random(2024)
+    for seed in range(200):
+        n = rng.randint(4, 40)
+        p = 0.05 + 0.9 * seed / 199
+        g = random_graph(n, p, seed)
+        assert count_induced_c4_diagonal(g).value == count_induced_c4_enum(g).value, (
+            f"seed={seed} n={n} p={p:.2f}"
+        )
+
+
+def test_odd_raw_sum_raises(monkeypatch):
+    monkeypatch.setattr(counting, "_diagonal_raw_sum", lambda g: 3)
+    with pytest.raises(CountParityError, match="odd"):
+        count_induced_c4_diagonal(cycle_graph(4))
+
+
+def test_asymmetric_adjacency_breaks_handshake_parity():
+    # the C4 0-1-3-2-0 plus a one-way entry 1 -> 2 inside N(0)
+    adj = np.zeros((4, 4), dtype=np.uint8)
+    for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
+        adj[a, b] = adj[b, a] = 1
+    assert _diagonal_raw(adj) == 2
+    adj[1, 2] = 1
+    with pytest.raises(CountParityError, match="handshake"):
+        _diagonal_raw(adj)
+
+
+def test_float32_exactness_guard_refuses_before_allocating():
+    # a stub with no adjacency at all: the guard must fire on n alone
+    with pytest.raises(VertexCapExceeded, match="16777216"):
+        count_induced_c4_diagonal(SimpleNamespace(n=1 << 24))
+    with pytest.raises(VertexCapExceeded, match="16777216"):
+        count_induced_c4_diagonal(SimpleNamespace(n=10**9))
 
 
 # frozen values: first computed by an independent brute-force scan of every
@@ -148,8 +214,14 @@ def test_isomorphism_invariance_spot():
 def test_worker_count_does_not_change_results():
     g = nested_blowup(BlowupSpec(Family.C4, 1))
     base_enum = count_induced_c4_enum(g).value
-    base_diag = count_induced_c4_diagonal(g).value
     assert count_induced_c4_enum(g, workers=2).value == base_enum
     assert count_induced_c4_enum(g, workers=3).value == base_enum
-    assert count_induced_c4_diagonal(g, workers=2).value == base_diag
-    assert count_induced_c4_diagonal(g, workers=3).value == base_diag
+
+
+def test_pool_size_is_clamped():
+    cores = os.cpu_count() or 1
+    assert _pool_size(1, 100) == 1
+    assert _pool_size(2, 100) == min(2, cores)
+    assert _pool_size(10**9, 100) == min(100, cores)
+    assert _pool_size(10**9, 1) == 1
+    assert _pool_size(4, 0) == 1
