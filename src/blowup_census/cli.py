@@ -134,15 +134,20 @@ def _load_graph(path: str) -> Graph:
         return read_edge_list(fh.read())
 
 
-def _resolve_spec(args) -> BlowupSpec:
-    family = Family(args.family)
-    if family is Family.CUSTOM:
+def _custom_base(args) -> Graph | None:
+    """The base graph read from ``--input`` for the custom family; None for a
+    named family, which takes no ``--input``."""
+    if Family(args.family) is Family.CUSTOM:
         if not args.input:
             raise GraphFormatError("custom family requires --input with a base edge list")
-        return BlowupSpec(family, args.level, _load_graph(args.input))
+        return _load_graph(args.input)
     if args.input:
         raise GraphFormatError("--input is only valid with --family custom")
-    return BlowupSpec(family, args.level)
+    return None
+
+
+def _resolve_spec(args) -> BlowupSpec:
+    return BlowupSpec(Family(args.family), args.level, _custom_base(args))
 
 
 def _check_formula_level(max_level: int) -> None:
@@ -276,14 +281,8 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    custom_base = None
+    custom_base = _custom_base(args)
     family = Family(args.family)
-    if family is Family.CUSTOM:
-        if not args.input:
-            raise GraphFormatError("custom family requires --input with a base edge list")
-        custom_base = _load_graph(args.input)
-    elif args.input:
-        raise GraphFormatError("--input is only valid with --family custom")
     methods = ("enum", "diagonal") if args.method == "both" else (args.method,)
     config = RunConfig(
         family=family,

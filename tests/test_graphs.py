@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_census import graphs as graphs_module
 from blowup_census import (
     BlowupSpec,
     Family,
@@ -98,6 +99,74 @@ def test_rejects_asymmetric_rows():
 def test_rejects_out_of_range_bits():
     with pytest.raises(ValueError, match="outside"):
         Graph(2, (0b100, 0b000))
+
+
+def _corrupt(g: Graph, *, add=(), drop=(), set_rows=()) -> list[int]:
+    """g's rows with single bits set (``add``) or cleared (``drop``) as (row,
+    bit) pairs, then whole rows replaced (``set_rows``) as (row, value)."""
+    rows = list(g.rows)
+    for u, v in add:
+        rows[u] |= 1 << v
+    for u, v in drop:
+        rows[u] &= ~(1 << v)
+    for u, value in set_rows:
+        rows[u] = value
+    return rows
+
+
+STRIPE_N = 40  # with 8-row stripes: five stripes, boundaries at 8, 16, 24, 32
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        # bit (3, 35) set, its mirror (35, 3) lies in the last stripe
+        ({"add": [(3, 35)], "drop": [(35, 3)]}, r"^asymmetric adjacency at \(3, 35\)$"),
+        # across one stripe boundary: row 7 is the last row of stripe 0
+        ({"add": [(7, 8)], "drop": [(8, 7)]}, r"^asymmetric adjacency at \(7, 8\)$"),
+        # only the lower-triangle bit (35, 3) is set
+        (
+            {"add": [(35, 3)], "drop": [(3, 35)]},
+            r"^asymmetric adjacency at \(35, 3\) \(unmatched lower-triangle bit\)$",
+        ),
+        # two faults in different stripes: the first in row order is named
+        (
+            {"add": [(30, 39), (9, 20)], "drop": [(39, 30), (20, 9)]},
+            r"^asymmetric adjacency at \(9, 20\)$",
+        ),
+        ({"add": [(STRIPE_N - 1, STRIPE_N - 1)]}, r"^self-loop at vertex 39$"),
+        ({"add": [(12, STRIPE_N)]}, r"^row 12 has bits outside the vertex range$"),
+        ({"set_rows": [(17, -1)]}, r"^row 17 has bits outside the vertex range$"),
+    ],
+)
+def test_validation_across_stripes(monkeypatch, corruption, message):
+    g = random_graph(STRIPE_N, 0.5, 11)
+    monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", 8 * STRIPE_N)
+    rows = _corrupt(g, **corruption)
+    with pytest.raises(ValueError, match=message):
+        Graph(STRIPE_N, rows)
+
+
+def test_narrow_stripes_accept_valid_graphs(monkeypatch):
+    sizes = [(33, 0.3), (40, 0.7), (57, 0.5)]
+    graphs = [random_graph(n, p, seed) for seed, (n, p) in enumerate(sizes)]
+    monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", 1)
+    for g in graphs:
+        assert Graph(g.n, g.rows).edge_count == g.edge_count == sum(1 for _ in g.edges())
+
+
+def test_validation_across_default_stripes():
+    # theta L4 has 3125 vertices, several stripes at the default block size
+    g = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    assert g.n * g.n > graphs_module._VALIDATE_BLOCK_BYTES
+    assert Graph(g.n, g.rows) == g
+    far = next(v for v in range(g.n - 1, 0, -1) if not g.has_edge(0, v))
+    with pytest.raises(ValueError, match=rf"^asymmetric adjacency at \(0, {far}\)$"):
+        Graph(g.n, _corrupt(g, add=[(0, far)]))
+    with pytest.raises(ValueError, match="lower-triangle"):
+        Graph(g.n, _corrupt(g, add=[(far, 0)]))
+    with pytest.raises(ValueError, match=f"self-loop at vertex {g.n - 1}"):
+        Graph(g.n, _corrupt(g, add=[(g.n - 1, g.n - 1)]))
 
 
 def test_from_edges_rejects_bad_input():
@@ -332,6 +401,47 @@ def test_read_ignores_comments_and_blanks():
 def test_read_edge_list_errors(text, message):
     with pytest.raises(GraphFormatError, match=message):
         read_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        (["0 1"], 9, r"duplicate edge \(0, 1\)"),
+        # the earliest line that repeats an edge, not the smallest repeated pair
+        (["2 3", "2 3", "0 1"], 10, r"duplicate edge \(2, 3\)"),
+        (["2 4"], 9, "vertex id out of range for n=4"),
+        (["-1 2"], 9, "vertex id out of range for n=4"),
+        (["3 2"], 9, "edges must satisfy u < v"),
+    ],
+)
+def test_read_edge_list_error_line_numbers(body, line, message):
+    # line 5 holds "0 1", line 9 the first line of body
+    head = ["# header", "", "4", "# edges", "0 1", "", "1 2", "  # indented comment"]
+    text = "\n".join(head + body) + "\n"
+    with pytest.raises(GraphFormatError, match=rf"^line {line}: {message}"):
+        read_edge_list(text)
+
+
+def _reference_edge_list(g: Graph) -> str:
+    """The edge-list format spelled out with the per-edge iterator."""
+    return "\n".join([str(g.n)] + [f"{u} {v}" for u, v in g.edges()]) + "\n"
+
+
+def test_write_edge_list_matches_reference_random():
+    rng = random.Random(2024)
+    for seed in range(60):
+        g = random_graph(rng.randint(0, 60), rng.random(), seed)
+        assert write_edge_list(g) == _reference_edge_list(g)
+    for n in (0, 1, 8, 9):
+        assert write_edge_list(empty_graph(n)) == _reference_edge_list(empty_graph(n))
+        assert write_edge_list(complete_graph(n)) == _reference_edge_list(complete_graph(n))
+
+
+@pytest.mark.parametrize("family", [Family.C4, Family.THETA222])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_write_edge_list_matches_reference_blowups(family, level):
+    g = nested_blowup(BlowupSpec(family, level))
+    assert write_edge_list(g) == _reference_edge_list(g)
 
 
 @given(st.integers(0, 123456))
