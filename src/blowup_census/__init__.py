@@ -7,132 +7,17 @@ counts against closed-form formulas evaluated over arbitrary-precision
 integers.
 """
 
+from . import counting, formulas, graphs, report
 from ._version import __version__
-from .counting import (
-    DEFAULT_SUBSET_CAP,
-    CheckedCount,
-    CountParityError,
-    CountResult,
-    CounterMismatchError,
-    Method,
-    SubsetCapExceeded,
-    count_both_and_check,
-    count_induced_c4_diagonal,
-    count_induced_c4_enum,
-)
-from .formulas import (
-    FORMULA_LEVEL_CAP,
-    FORMULAS,
-    PartialSums,
-    Rational,
-    SumPair,
-    TermBreakdown,
-    Variant,
-    c4_closed_T,
-    c4_edges_closed,
-    c4_nonedges_binomial,
-    c4_nonedges_closed,
-    c4_partial_sums,
-    c4_recurrence_T,
-    c4_recurrence_breakdown,
-    theta_closed_T,
-    theta_edges_closed,
-    theta_nonedges_closed,
-    theta_partial_sums,
-    theta_recurrence_T,
-    theta_recurrence_breakdown,
-)
-from .graphs import (
-    DEFAULT_VERTEX_CAP,
-    BlowupSpec,
-    Family,
-    Graph,
-    GraphFormatError,
-    NonEdge,
-    VertexCapExceeded,
-    blob_of,
-    complete_graph,
-    compose,
-    cycle_graph,
-    empty_graph,
-    nested_blowup,
-    non_edges,
-    read_edge_list,
-    relabel,
-    theta_222,
-    write_edge_list,
-)
-from .report import (
-    SKIPPED_CAP,
-    SKIPPED_NOT_REQUESTED,
-    Finding,
-    LevelRecord,
-    RunConfig,
-    VerificationReport,
-    build_report,
-    render_summary,
-)
+from .counting import *  # noqa: F401,F403
+from .formulas import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .report import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # graphs
-    "DEFAULT_VERTEX_CAP",
-    "BlowupSpec",
-    "Family",
-    "Graph",
-    "GraphFormatError",
-    "NonEdge",
-    "VertexCapExceeded",
-    "blob_of",
-    "complete_graph",
-    "compose",
-    "cycle_graph",
-    "empty_graph",
-    "nested_blowup",
-    "non_edges",
-    "read_edge_list",
-    "relabel",
-    "theta_222",
-    "write_edge_list",
-    # counting
-    "DEFAULT_SUBSET_CAP",
-    "CheckedCount",
-    "CountParityError",
-    "CountResult",
-    "CounterMismatchError",
-    "Method",
-    "SubsetCapExceeded",
-    "count_both_and_check",
-    "count_induced_c4_diagonal",
-    "count_induced_c4_enum",
-    # formulas
-    "FORMULA_LEVEL_CAP",
-    "FORMULAS",
-    "PartialSums",
-    "Rational",
-    "SumPair",
-    "TermBreakdown",
-    "Variant",
-    "c4_closed_T",
-    "c4_edges_closed",
-    "c4_nonedges_binomial",
-    "c4_nonedges_closed",
-    "c4_partial_sums",
-    "c4_recurrence_T",
-    "c4_recurrence_breakdown",
-    "theta_closed_T",
-    "theta_edges_closed",
-    "theta_nonedges_closed",
-    "theta_partial_sums",
-    "theta_recurrence_T",
-    "theta_recurrence_breakdown",
-    # report
-    "SKIPPED_CAP",
-    "SKIPPED_NOT_REQUESTED",
-    "Finding",
-    "LevelRecord",
-    "RunConfig",
-    "VerificationReport",
-    "build_report",
-    "render_summary",
+    *graphs.__all__,
+    *counting.__all__,
+    *formulas.__all__,
+    *report.__all__,
 ]

@@ -30,9 +30,9 @@ from .graphs import (
     Graph,
     GraphFormatError,
     VertexCapExceeded,
+    _edge_list_chunks,
     nested_blowup,
     read_edge_list,
-    write_edge_list,
 )
 from .report import RunConfig, build_report, render_summary
 
@@ -178,7 +178,7 @@ def _cmd_generate(args) -> int:
     spec = _resolve_spec(args)
     g = nested_blowup(spec, vertex_cap=args.vertex_cap)
     with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(write_edge_list(g))
+        fh.writelines(_edge_list_chunks(g))
     print(f"{spec.family.value} level {spec.level}: {g.n} vertices, {g.edge_count} edges -> {args.out}")
     return 0
 
@@ -292,8 +292,6 @@ def _cmd_verify(args) -> int:
         subset_cap=args.subset_cap,
         workers=args.workers,
         input_path=args.input,
-        out=args.out,
-        format=args.format,
     )
     report = build_report(config, custom_base=custom_base)
     if args.out:

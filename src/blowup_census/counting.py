@@ -2,9 +2,11 @@
 
 Two deliberately independent algorithms, each exact:
 
-* enumeration visits every 4-vertex subset and keeps those whose induced
-  subgraph has exactly 4 edges with every induced degree 2 (equivalent to
-  being an induced 4-cycle);
+* enumeration visits every 4-vertex subset {a < b < c < d} and keeps those
+  in which each of the four induced degrees is exactly two (equivalent to
+  being an induced 4-cycle).  It is bit-sliced: for each c it tests the
+  predicate on all pairs a < b < c at once, against 64 candidates d per
+  uint64 word of the adjacency rows, and counts survivors with a popcount;
 * the diagonal method sums, over non-edges {u, v}, the number of unordered
   non-adjacent pairs inside N(u) & N(v), then halves.  An induced 4-cycle has
   exactly two non-adjacent diagonal pairs, so it is counted once per diagonal
@@ -12,9 +14,10 @@ Two deliberately independent algorithms, each exact:
   one vertex u with a single float32 matrix product, exact below 2**24
   vertices (see ``_diagonal_raw_sum``).
 
+The two share nothing but the packed rows of ``graphs._packed_rows``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
 makes the diagonal method the scalable one here.  Enumeration may split its
-subsets across worker processes; partial counts combine by integer
+values of c across worker processes; partial counts combine by integer
 addition, so results are bit-identical for any worker count.  The diagonal
 method runs in one process and gets its parallelism from BLAS threads.
 """
@@ -90,53 +93,91 @@ class CheckedCount:
     diagonal: CountResult
 
 
-def _dense_adjacency(g: Graph) -> np.ndarray:
-    """Adjacency as an (n, n) uint8 0/1 matrix."""
-    return np.unpackbits(_packed_rows(g.n, g.rows), axis=1, count=g.n, bitorder="little")
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive subset scan
 # ---------------------------------------------------------------------------
 #
-# Subsets {a < b < c < d} are partitioned by their second-smallest vertex b;
-# for fixed b the (c, d) pairs are vectorized and all a < b are handled as a
-# 2-D batch.  This is a literal evaluation of the induced-C4 predicate on
-# every one of the C(n, 4) subsets, just without a per-subset Python loop.
+# Subsets {a < b < c < d} are grouped by their third vertex c, which is
+# looped over in Python.  For one c, the pairs a < b < c form the lower
+# triangle of a (b, a) grid.  A chunk of consecutive b is handled as a
+# rectangle whose columns are every a below the chunk's largest b, so the
+# rows of a and b broadcast against each other without a gather; cells with
+# a >= b are padding.  The candidates d > c are held bit-sliced: the
+# adjacency words from word (c + 1) // 64 on, 64 candidates per uint64,
+# with the bits at or below c masked off the first word.  The edges ab, ac
+# and bc are scalars per cell, spread to all-ones or all-zeros words.  A
+# subset is kept when each of its four induced degrees is exactly two; four
+# degrees of two sum to 8, so by the handshake lemma the subset has exactly
+# 4 edges and is 2-regular on four vertices, which is an induced 4-cycle.
+# Every one of the C(n, 4) subsets is tested literally, and
+# np.bitwise_count adds up the survivors.
+
+# A chunk of the scan holds arrays of (words, b rows, a columns) uint64 of at
+# most this many bytes each, and at least one b row whatever the budget.
+_ENUM_BLOCK_BYTES = 1 << 17
 
 
-def _enum_count_for_b(adj: np.ndarray, b: int) -> int:
-    n = adj.shape[0]
-    m = n - b - 1
-    if b < 1 or m < 2:
-        return 0
-    ci, di = np.triu_indices(m, 1)
-    c_idx = ci + b + 1
-    d_idx = di + b + 1
-    ecd = adj[c_idx, d_idx]
-    ebc = adj[b, c_idx]
-    ebd = adj[b, d_idx]
-    bc_bd = ebc + ebd
-    tail_edges = bc_bd + ecd
-    c_tail = ebc + ecd
-    eab = adj[:b, b][:, None]
-    eac = adj[:b][:, c_idx]
-    ead = adj[:b][:, d_idx]
-    dega = eab + eac + ead
-    good = dega == 2
-    good &= dega + tail_edges == 4
-    good &= eab + bc_bd == 2
-    good &= eac + c_tail == 2
-    return int(np.count_nonzero(good))
+def _exactly_two(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Bitwise: set where exactly two of x, y and z are set.
+
+    The same predicate as ((x & y) | (z & (x ^ y))) & ~(x & y & z), in fewer
+    operations: where x and y are both set z must be clear, where exactly
+    one is set z must be set, and where neither is set no bit survives.
+    """
+    out = z & (x | y)
+    out ^= x & y
+    return out
 
 
-def _enum_count(adj: np.ndarray, b_values) -> int:
-    return sum(_enum_count_for_b(adj, b) for b in b_values)
+def _full_words(bits: np.ndarray) -> np.ndarray:
+    """A 0/1 array as uint64 words of all zeros or all ones."""
+    return np.uint64(0) - bits.astype(np.uint64)  # wraps modulo 2**64
+
+
+def _word_columns(packed: np.ndarray) -> np.ndarray:
+    """Packed uint8 rows as a (ceil(n/64), n) uint64 matrix whose entry
+    (w, v) holds the bits 64w .. 64w + 63 of row v."""
+    n, width = packed.shape
+    padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = packed
+    return np.ascontiguousarray(padded.view("<u8").T)
+
+
+def _enum_count_for_c(packed: np.ndarray, words: np.ndarray, c: int) -> int:
+    """Induced 4-cycles {a < b < c < d} with this third vertex c."""
+    tail = words[(c + 1) >> 6 :]
+    first = ~np.uint64(0) << np.uint64((c + 1) & 63)
+    xc = tail[:, c, None, None]
+    row_c = np.unpackbits(packed[c], count=c, bitorder="little")  # ac and bc, by symmetry
+    step = max(1, _ENUM_BLOCK_BYTES // (8 * len(tail) * c))
+    total = 0
+    for b0 in range(1, c, step):
+        b1 = min(b0 + step, c)
+        width = b1 - 1
+        below = np.arange(width) < np.arange(b0, b1)[:, None]
+        ab = _full_words(np.unpackbits(packed[b0:b1], axis=1, count=width, bitorder="little"))
+        # zeroing ac and bc on the padding cells makes their c test zero
+        ac = _full_words(row_c[:width] & below)
+        bc = _full_words(row_c[b0:b1, None] & below)
+        xa = tail[:, None, :width]
+        xb = tail[:, b0:b1, None]
+        keep = _exactly_two(ab, ac, xa)
+        keep &= _exactly_two(ab, bc, xb)
+        keep &= _exactly_two(ac, bc, xc)
+        keep &= _exactly_two(xa, xb, xc)
+        keep[0] &= first
+        total += int(np.bitwise_count(keep).sum())
+    return total
+
+
+def _enum_count(packed: np.ndarray, c_values) -> int:
+    words = _word_columns(packed)
+    return sum(_enum_count_for_c(packed, words, c) for c in c_values)
 
 
 def _enum_worker(args) -> int:
-    adj, b_values = args
-    return _enum_count(adj, b_values)
+    packed, c_values = args
+    return _enum_count(packed, c_values)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -164,15 +205,15 @@ def count_induced_c4_enum(
             f"enumeration over {subsets} subsets exceeds the cap of {subset_cap}; "
             "raise --subset-cap or use the diagonal method"
         )
-    adj = _dense_adjacency(g)
-    bs = range(1, g.n - 2)
-    size = _pool_size(workers, len(bs))
+    packed = _packed_rows(g.n, g.rows)
+    cs = range(2, g.n - 1)
+    size = _pool_size(workers, len(cs))
     if size == 1:
-        value = _enum_count(adj, bs)
+        value = _enum_count(packed, cs)
     else:
-        chunks = [bs[w::size] for w in range(size)]
+        chunks = [cs[w::size] for w in range(size)]
         with ProcessPoolExecutor(max_workers=size) as pool:
-            value = sum(pool.map(_enum_worker, [(adj, c) for c in chunks]))
+            value = sum(pool.map(_enum_worker, [(packed, chunk) for chunk in chunks]))
     return CountResult(value, Method.ENUMERATION, time.perf_counter() - start)
 
 
@@ -189,6 +230,11 @@ def count_induced_c4_enum(
 
 # float32 represents every integer below 2**24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
+
+
+def _dense_adjacency(g: Graph) -> np.ndarray:
+    """Adjacency as an (n, n) uint8 0/1 matrix."""
+    return np.unpackbits(_packed_rows(g.n, g.rows), axis=1, count=g.n, bitorder="little")
 
 
 def _diagonal_raw(adj: np.ndarray) -> int:

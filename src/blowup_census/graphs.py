@@ -395,18 +395,22 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 # comments.  Writing emits edges in ascending (u, v) order.
 
 
-def write_edge_list(g: Graph) -> str:
+def _edge_list_chunks(g: Graph) -> Iterator[str]:
+    """The edge-list text of g in pieces, each ending in a newline: the
+    vertex-count line, then the lines "u v" of one vertex u at a time."""
     packed = _packed_rows(g.n, g.rows)
     names = [str(v) for v in range(g.n)]
-    lines = [str(g.n)]
+    yield f"{g.n}\n"
     for u in range(g.n):
         row = np.unpackbits(packed[u], count=g.n, bitorder="little")
         above = np.flatnonzero(row[u + 1 :]) + (u + 1)
         if above.size:
             prefix = names[u] + " "
-            lines.append(prefix + ("\n" + prefix).join([names[v] for v in above.tolist()]))
-    lines.append("")  # trailing newline without copying the joined text
-    return "\n".join(lines)
+            yield prefix + ("\n" + prefix).join([names[v] for v in above.tolist()]) + "\n"
+
+
+def write_edge_list(g: Graph) -> str:
+    return "".join(_edge_list_chunks(g))
 
 
 def read_edge_list(text: str) -> Graph:

@@ -60,8 +60,6 @@ class RunConfig:
     subset_cap: int = DEFAULT_SUBSET_CAP
     workers: int = 1
     input_path: str | None = None
-    out: str | None = None
-    format: str = "text"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
@@ -212,8 +210,6 @@ def _encode_config(cfg: RunConfig) -> dict[str, Any]:
         "subset_cap": cfg.subset_cap,
         "workers": cfg.workers,
         "input_path": cfg.input_path,
-        "out": cfg.out,
-        "format": cfg.format,
     }
 
 
@@ -226,8 +222,6 @@ def _decode_config(d: dict[str, Any]) -> RunConfig:
         subset_cap=d["subset_cap"],
         workers=d["workers"],
         input_path=d["input_path"],
-        out=d["out"],
-        format=d["format"],
     )
 
 

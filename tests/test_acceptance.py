@@ -304,3 +304,19 @@ def test_criterion_11_level_four_edge_lists():
         f"c4 L4 round trip exact, theta L4 writes {edge_lines} edge lines; "
         f"{elapsed:.1f}s < 10s",
     )
+
+
+def test_criterion_12_theta_level_three_both_counters():
+    # the default cap refuses C(625, 4) ~ 6.3e9 subsets; raised explicitly,
+    # the subset scan confirms theta L3 beside the diagonal counter
+    expected = 1235757900
+    g = _level(Family.THETA222, 3)
+    enum = count_induced_c4_enum(g, subset_cap=comb(625, 4))
+    diag = count_induced_c4_diagonal(g)
+    assert enum.value == diag.value == theta_recurrence_T(3) == expected
+    assert enum.elapsed < 120.0
+    _report(
+        12,
+        f"enumeration == diagonal == recurrence == {expected} on 625 vertices; "
+        f"enum over C(625,4)~6.3e9 took {enum.elapsed:.1f}s < 120s",
+    )

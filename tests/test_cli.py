@@ -34,6 +34,15 @@ def test_generate_level_zero_c4(tmp_path, capsys):
     assert "4 vertices, 4 edges" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("family, level", [("c4", 2), ("theta222", 2), ("theta222", 3)])
+def test_generate_writes_the_edge_list_text(tmp_path, family, level):
+    # generate streams the file; it must equal the text write_edge_list returns
+    out = tmp_path / f"{family}.edges"
+    assert main(["generate", "--family", family, "--level", str(level), "--out", str(out)]) == 0
+    expected = write_edge_list(nested_blowup(BlowupSpec(Family(family), level)))
+    assert out.read_bytes() == expected.encode("ascii")
+
+
 def test_generate_respects_vertex_cap(tmp_path, capsys):
     out = tmp_path / "never.edges"
     code = main(
@@ -156,6 +165,8 @@ def test_verify_json_stdout(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["family"] == "theta222"
     assert data["levels"][0]["T_enum"] == 3
+    # where the report went and how it was shown are not part of the report
+    assert "out" not in data["config"] and "format" not in data["config"]
 
 
 def test_verify_custom_family(tmp_path, capsys):

@@ -32,6 +32,7 @@ from blowup_census import (
 )
 from blowup_census import counting
 from blowup_census.counting import _diagonal_raw, _diagonal_raw_sum, _pool_size
+from blowup_census.graphs import _packed_rows
 from helpers import brute_force_c4_count, random_graph
 
 
@@ -106,6 +107,83 @@ def test_diagonal_matches_enumeration_across_densities():
         assert count_induced_c4_diagonal(g).value == count_induced_c4_enum(g).value, (
             f"seed={seed} n={n} p={p:.2f}"
         )
+
+
+# Sizes around the 64-bit word boundaries of the bit-sliced subset scan.
+_WORD_EDGE_SIZES = [62, 63, 64, 65, 66, 127, 128, 129]
+
+
+def test_enumeration_matches_brute_force():
+    # Graphs that fit the brute-force oracle whole, at densities 0.05-0.95,
+    # plus graphs on the word-boundary sizes whose edges lie on a small
+    # support straddling the boundaries; an isolated vertex lies on no
+    # induced 4-cycle, so the oracle runs on the support alone.
+    rng = random.Random(4064)
+    checked = 0
+    for seed in range(140):
+        n = rng.randint(4, 22)
+        p = 0.05 + 0.9 * seed / 139
+        g = random_graph(n, p, seed)
+        assert count_induced_c4_enum(g).value == brute_force_c4_count(g), (
+            f"seed={seed} n={n} p={p:.2f}"
+        )
+        checked += 1
+    for n in _WORD_EDGE_SIZES:
+        boundary = [v for v in (0, 1, 62, 63, 64, 65, 126, 127, 128) if v < n]
+        for k, p in enumerate([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]):
+            rest = rng.sample([v for v in range(n) if v not in boundary], 16 - len(boundary))
+            labels = boundary + rest
+            rng.shuffle(labels)
+            small = random_graph(16, p, 1000 * n + k)
+            g = Graph.from_edges(n, [(labels[u], labels[v]) for u, v in small.edges()])
+            assert count_induced_c4_enum(g).value == brute_force_c4_count(small), (
+                f"n={n} p={p} labels={labels}"
+            )
+            checked += 1
+        for g in (empty_graph(n), complete_graph(n)):
+            # every 4-subset induces no edge or all six, never a 4-cycle
+            assert count_induced_c4_enum(g).value == 0
+    for n in range(4, 12):
+        for g in (empty_graph(n), complete_graph(n)):
+            assert count_induced_c4_enum(g).value == brute_force_c4_count(g) == 0
+            checked += 1
+    assert checked >= 200
+
+
+def test_enumeration_across_chunks(monkeypatch):
+    graphs = [
+        nested_blowup(BlowupSpec(Family.C4, 2)),
+        nested_blowup(BlowupSpec(Family.THETA222, 2)),
+        random_graph(130, 0.6, 5),
+    ]
+    expected = [count_induced_c4_enum(g).value for g in graphs]
+    assert expected[:2] == [114512, 1947705]
+    for budget in (1, 8 * 3 * 64):
+        # one b row per chunk, then a few, with chunk edges falling mid-way
+        # through the words
+        monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
+        for g, value in zip(graphs, expected):
+            assert count_induced_c4_enum(g).value == value, f"budget={budget} n={g.n}"
+
+
+def test_enumeration_chunks_stay_under_the_budget(monkeypatch):
+    # the largest array of the scan is the chunk handed to the popcount
+    g = random_graph(200, 0.5, 3)
+    budget = 1 << 14
+    largest = 0
+    real_bitwise_count = np.bitwise_count
+
+    def spy(x, *args, **kwargs):
+        nonlocal largest
+        largest = max(largest, x.nbytes)
+        return real_bitwise_count(x, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
+    monkeypatch.setattr(np, "bitwise_count", spy)
+    value = count_induced_c4_enum(g).value
+    monkeypatch.undo()
+    assert value == count_induced_c4_enum(g).value
+    assert budget // 4 < largest <= budget
 
 
 def test_odd_raw_sum_raises(monkeypatch):
