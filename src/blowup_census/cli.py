@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -129,9 +130,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_edge_list(fh.read())
+def _load_graph(path: str, vertex_cap: int) -> Graph:
+    # surrogateescape keeps each byte >= 0x80 as one code point, so the
+    # error can name its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        pos = re.search("[^\x00-\x7f]", text).start()
+        byte = ord(text[pos]) - 0xDC00
+        line = text.count("\n", 0, pos) + 1
+        raise GraphFormatError(f"line {line}: non-ASCII byte 0x{byte:02x}")
+    return read_edge_list(text, vertex_cap=vertex_cap)
 
 
 def _custom_base(args) -> Graph | None:
@@ -140,7 +149,7 @@ def _custom_base(args) -> Graph | None:
     if Family(args.family) is Family.CUSTOM:
         if not args.input:
             raise GraphFormatError("custom family requires --input with a base edge list")
-        return _load_graph(args.input)
+        return _load_graph(args.input, args.vertex_cap)
     if args.input:
         raise GraphFormatError("--input is only valid with --family custom")
     return None
@@ -185,7 +194,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.input and args.level is None:
-        graph = _load_graph(args.input)
+        graph = _load_graph(args.input, args.vertex_cap)
         source = {"input": args.input}
     elif args.family:
         if args.level is None:

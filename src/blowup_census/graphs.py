@@ -17,10 +17,12 @@ the same rows packed into an (n, ceil(n/8)) uint8 numpy matrix.
 
 from __future__ import annotations
 
-from array import array
+import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -114,7 +116,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        lo, hi = array("q"), array("q")
+        lo, hi = [], []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -122,10 +124,12 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             lo.append(min(u, v))
             hi.append(max(u, v))
-        k = _first_repeat(lo, hi)
-        if k is not None:
+        lo_ids, hi_ids = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        rows = _rows_from_pairs(n, lo_ids, hi_ids)
+        if rows is None:
+            k = _first_repeat(lo_ids, hi_ids)
             raise ValueError(f"duplicate edge ({lo[k]}, {hi[k]})")
-        return cls(n, _rows_from_pairs(n, lo, hi))
+        return cls(n, rows)
 
     # -- queries ------------------------------------------------------------
 
@@ -176,22 +180,33 @@ def _packed_rows(n: int, rows: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).reshape(n, width)
 
 
-def _rows_from_pairs(n: int, lo: array, hi: array) -> tuple[int, ...]:
-    """Rows of the graph on n vertices whose edges are {lo[i], hi[i]}."""
+# _BIT[j] is the byte with bit j set, j = 0..7.
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+
+def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[int, ...] | None:
+    """Rows of the graph on n vertices whose edges are {lo[i], hi[i]}, or None
+    when some pair occurs twice.
+
+    Needs 0 <= lo[i] < hi[i] < n: then distinct pairs set distinct bits, two
+    each, and a repeat shows as fewer than 2 * len(lo) set bits.
+    """
     width = max(1, (n + 7) // 8)
-    packed = np.zeros((n, width), dtype=np.uint8)
-    lo_ids, hi_ids = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
-    r, c = np.concatenate([lo_ids, hi_ids]), np.concatenate([hi_ids, lo_ids])
-    np.bitwise_or.at(packed, (r, c >> 3), np.left_shift(1, c & 7).astype(np.uint8))
-    data = packed.tobytes()
+    flat = np.zeros(n * width, dtype=np.uint8)
+    for r, c in ((lo, hi), (hi, lo)):
+        byte = r * width
+        byte += c >> 3
+        np.bitwise_or.at(flat, byte, _BIT[c & 7])
+    if int(np.bitwise_count(flat).sum()) < 2 * len(lo):
+        return None
+    data = flat.tobytes()
     return tuple(int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
 
 
-def _first_repeat(lo: array, hi: array) -> int | None:
+def _first_repeat(lo: np.ndarray, hi: np.ndarray) -> int | None:
     """Smallest index i such that pair i equals some pair j < i, or None."""
-    lo_ids, hi_ids = np.frombuffer(lo, dtype=np.int64), np.frombuffer(hi, dtype=np.int64)
-    order = np.lexsort((hi_ids, lo_ids))
-    a, b = lo_ids[order], hi_ids[order]
+    order = np.lexsort((hi, lo))
+    a, b = lo[order], hi[order]
     repeats = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
     return int(repeats.min()) if repeats.size else None
 
@@ -390,9 +405,12 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 # Edge-list text format
 # ---------------------------------------------------------------------------
 #
-# First line: vertex count n.  Each following non-empty line: "u v" with
-# 0 <= u < v < n, ASCII decimal, single space.  Lines starting with '#' are
-# comments.  Writing emits edges in ascending (u, v) order.
+# The first line that is neither blank nor a comment holds the vertex count n.
+# Every later line is blank (spaces and tabs), a comment ('#' after optional
+# spaces and tabs) or an edge "u v" with 0 <= u < v < n: ids in ASCII digits,
+# separated and optionally surrounded by spaces and tabs.  Lines end in "\n"
+# or "\r\n".  Writing emits "u v" lines with one space, in ascending (u, v)
+# order.
 
 
 def _edge_list_chunks(g: Graph) -> Iterator[str]:
@@ -413,41 +431,103 @@ def write_edge_list(g: Graph) -> str:
     return "".join(_edge_list_chunks(g))
 
 
-def read_edge_list(text: str) -> Graph:
-    n: int | None = None
-    lo, hi, linenos = array("q"), array("q"), array("q")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if n is None:
-            try:
-                n = int(raw)
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex count expected, got {raw.strip()!r}"
-                )
-            if n < 0:
-                raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
-            continue
+# The vertex-count line: the first line that is neither blank nor a comment.
+_HEADER = re.compile(r"^(?![ \t]*(?:#.*)?\r?$).*", re.MULTILINE)
+# An id is ASCII digits with at most 18 after any leading zeros, so every id
+# parses into int64 without overflow.
+_ID = r"0*[0-9]{1,18}"
+# A newline followed by a line that is not blank, a comment or an edge.  The
+# first alternative, the "u v" that write_edge_list emits, is a subset of
+# the second and only spares the scan its slower branches on most lines.
+_BAD_LINE = re.compile(
+    rf"\n(?!(?:[0-9]{{1,18}} [0-9]{{1,18}}|[ \t]*(?:#.*|{_ID}[ \t]+{_ID}[ \t]*)?\r?)(?:\n|\Z))"
+)
+_COMMENT = re.compile(r"#.*")
+# The start of an edge line; blank and comment lines never match.
+_EDGE_LINE = re.compile(r"^[ \t]*[0-9]", re.MULTILINE)
+
+
+def _line_at(text: str, pos: int) -> tuple[int, str]:
+    """Number (from 1) and text of the line that starts at pos."""
+    end = text.find("\n", pos)
+    return text.count("\n", 0, pos) + 1, text[pos : end if end >= 0 else len(text)]
+
+
+def _edge_line_error(lineno: int, raw: str, n: int) -> GraphFormatError:
+    """The error for a line after the vertex count that the scan or the id
+    checks rejected, worded by the per-line checks of the format."""
+    parts = raw.split()
+    if parts and not parts[0].startswith("#"):
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+            return GraphFormatError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw.strip()!r}")
+            return GraphFormatError(f"line {lineno}: non-integer vertex id in {raw.strip()!r}")
         if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+            return GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         if u > v:
-            raise GraphFormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
+            return GraphFormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
         if not 0 <= u < n or not v < n:
-            raise GraphFormatError(f"line {lineno}: vertex id out of range for n={n}")
-        lo.append(u)
-        hi.append(v)
-        linenos.append(lineno)
-    if n is None:
+            return GraphFormatError(f"line {lineno}: vertex id out of range for n={n}")
+    # int() and str.split() accept more than the format: signs, '_', non-ASCII
+    # digits and other whitespace
+    return GraphFormatError(
+        f"line {lineno}: expected a blank line, a comment or 'u v' in ASCII digits "
+        f"separated by spaces or tabs, got {raw!r}"
+    )
+
+
+def read_edge_list(text: str, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+    """Parse edge-list text (see the format above) into a Graph.
+
+    A malformed text raises GraphFormatError naming its first faulty line; a
+    repeated edge, reported at its second occurrence, counts only when no
+    line is faulty.  A vertex count above ``vertex_cap`` raises
+    VertexCapExceeded before anything is allocated.
+    """
+    head = _HEADER.search(text)
+    if head is None:
         raise GraphFormatError("empty edge-list text: vertex count line missing")
-    k = _first_repeat(lo, hi)
-    if k is not None:
-        raise GraphFormatError(f"line {linenos[k]}: duplicate edge ({lo[k]}, {hi[k]})")
-    return Graph(n, _rows_from_pairs(n, lo, hi))
+    lineno, raw = _line_at(text, head.start())
+    try:
+        n = int(raw)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: vertex count expected, got {raw.strip()!r}")
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
+    if n > vertex_cap:
+        raise VertexCapExceeded(
+            f"line {lineno}: the edge list has {n} vertices, above the cap of "
+            f"{vertex_cap}; raise --vertex-cap to proceed"
+        )
+    start = head.end()
+    bad = _BAD_LINE.search(text, start)
+    # every line of body passed the scan; a '#' in it starts a comment
+    body = text[start : len(text) if bad is None else bad.start()]
+    if "#" in body:
+        body = _COMMENT.sub("", body)
+    if body.isspace():
+        # fromstring reads a text of whitespace alone as one 0
+        ids = np.empty(0, dtype=np.int64)
+    else:
+        with warnings.catch_warnings():
+            # on text it cannot read, fromstring warns and returns what it read so far
+            warnings.simplefilter("error")
+            ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    del body
+    lo, hi = ids[0::2], ids[1::2]
+
+    def edge_line(k: int) -> tuple[int, str]:
+        return _line_at(text, next(islice(_EDGE_LINE.finditer(text, start), k, None)).start())
+
+    faulty = (lo >= hi) | (hi >= n)
+    if faulty.any():
+        raise _edge_line_error(*edge_line(int(faulty.argmax())), n)
+    if bad is not None:
+        raise _edge_line_error(*_line_at(text, bad.start() + 1), n)
+    rows = _rows_from_pairs(n, lo, hi)
+    if rows is None:
+        k = _first_repeat(lo, hi)
+        raise GraphFormatError(f"line {edge_line(k)[0]}: duplicate edge ({lo[k]}, {hi[k]})")
+    return Graph(n, rows)

@@ -1,12 +1,13 @@
-"""Shared test utilities: a seeded random-graph model and a deliberately
-naive induced-4-cycle oracle that shares no code with the package."""
+"""Shared test utilities: a seeded random-graph model, a deliberately naive
+induced-4-cycle oracle and a per-line edge-list parser, both sharing no code
+with the package beyond the Graph type."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
 
-from blowup_census import Graph
+from blowup_census import Graph, GraphFormatError
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -30,3 +31,51 @@ def brute_force_c4_count(g: Graph) -> int:
         if edges == 4 and all(d == 2 for d in degs.values()):
             count += 1
     return count
+
+
+def reference_read_edge_list(text: str) -> Graph:
+    """Reference edge-list parser: one Python loop over the lines, with the
+    checks and messages of ``read_edge_list``.  It reads ids with ``int()``
+    and splits lines with ``str.splitlines`` and ``str.split``, so it also
+    accepts the signs, ``_``, non-ASCII digits and other whitespace that the
+    format rejects."""
+    n: int | None = None
+    pairs: list[tuple[int, int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if n is None:
+            try:
+                n = int(raw)
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count expected, got {raw.strip()!r}"
+                )
+            if n < 0:
+                raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw.strip()!r}")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+        if u > v:
+            raise GraphFormatError(f"line {lineno}: edges must satisfy u < v, got {u} {v}")
+        if not 0 <= u < n or not v < n:
+            raise GraphFormatError(f"line {lineno}: vertex id out of range for n={n}")
+        pairs.append((lineno, u, v))
+    if n is None:
+        raise GraphFormatError("empty edge-list text: vertex count line missing")
+    seen = set()
+    rows = [0] * n
+    for lineno, u, v in pairs:
+        if (u, v) in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))

@@ -289,19 +289,21 @@ def test_criterion_10_c4_level_four_diagonal():
 
 
 def test_criterion_11_level_four_edge_lists():
-    # build -> write -> read at level 4; the theta L4 read-back is left out
-    # because parsing its 2.9e6 lines alone takes about 5 s
+    # build -> write -> read at level 4 for both families; theta L4 has
+    # 2.9e6 edge lines
     t0 = time.perf_counter()
     c4 = nested_blowup(BlowupSpec(Family.C4, 4))
     assert read_edge_list(write_edge_list(c4)) == c4
-    theta_text = write_edge_list(nested_blowup(BlowupSpec(Family.THETA222, 4)))
+    theta = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    theta_text = write_edge_list(theta)
     edge_lines = theta_text.count("\n") - 1
     assert edge_lines == theta_edges_closed(4) == 2928750
+    assert read_edge_list(theta_text) == theta
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(
         11,
-        f"c4 L4 round trip exact, theta L4 writes {edge_lines} edge lines; "
+        f"c4 L4 and theta L4 ({edge_lines} edge lines) round trips exact; "
         f"{elapsed:.1f}s < 10s",
     )
 

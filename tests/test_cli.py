@@ -197,6 +197,21 @@ def test_malformed_edge_list_exit_code(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+def test_non_ascii_edge_list_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"4\n0 1\n# caf\xc3\xa9\n1 2\n")
+    assert main(["count", "--input", str(path)]) == 2
+    assert "line 3: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+
+def test_input_vertex_cap_exit_code(tmp_path, capsys):
+    path = tmp_path / "c4.edges"
+    path.write_text(write_edge_list(nested_blowup(BlowupSpec(Family.C4, 1))))
+    assert main(["count", "--input", str(path), "--vertex-cap", "15"]) == 2
+    assert "16 vertices, above the cap of 15" in capsys.readouterr().err
+    assert main(["count", "--input", str(path), "--vertex-cap", "16"]) == 0
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["count", "--input", "/nonexistent/g.edges"]) == 2
 

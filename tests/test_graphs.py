@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from math import comb
 
 import pytest
@@ -29,7 +30,7 @@ from blowup_census import (
     theta_222,
     write_edge_list,
 )
-from helpers import random_graph
+from helpers import random_graph, reference_read_edge_list
 
 THETA_CANONICAL = "5\n0 1\n0 2\n0 3\n1 4\n2 4\n3 4\n"
 
@@ -420,6 +421,128 @@ def test_read_edge_list_error_line_numbers(body, line, message):
     text = "\n".join(head + body) + "\n"
     with pytest.raises(GraphFormatError, match=rf"^line {line}: {message}"):
         read_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # a faulty line wins over an earlier duplicate
+        (["0 1", "0 1", "2 2"], "line 4: self-loop at vertex 2"),
+        (["0 1", "0 1 2", "0 1"], "line 3: expected 'u v', got '0 1 2'"),
+        # the earlier of a syntax fault and an id fault wins, in either order
+        (["0 x", "1 0"], "line 2: non-integer vertex id in '0 x'"),
+        (["1 0", "0 x"], "line 2: edges must satisfy u < v, got 1 0"),
+        (["0 9", "3 3"], "line 2: vertex id out of range for n=4"),
+        (["2 3", "-1 2", "0 0"], "line 3: vertex id out of range for n=4"),
+        (["0 1", "1 2 # c", "2 3", "3 3"], "line 3: expected 'u v', got '1 2 # c'"),
+    ],
+)
+def test_read_edge_list_reports_the_first_faulty_line(body, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        read_edge_list("\n".join(["4"] + body) + "\n")
+
+
+def test_read_edge_list_accepted_syntax():
+    text = "# c\r\n\r\n\t4 \r\n0\t1\r\n  # indented\r\n \t1 \t 2 \t\r\n\t\r\n  2 3\n000 0003"
+    assert read_edge_list(text) == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    # leading zeros do not count towards the 18-digit bound
+    assert read_edge_list("2\n0 " + "0" * 40 + "1\n") == complete_graph(2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # ids that do not fit the digit bound are still reported by value
+        ("4\n0 " + "9" * 19 + "\n", "line 2: vertex id out of range for n=4"),
+        ("4\n0 9223372036854775808\n", "line 2: vertex id out of range for n=4"),
+        ("4\n" + "9" * 40 + " 1\n", "line 2: edges must satisfy u < v"),
+        # int() and str.split() read these, the format does not
+        ("4\n+1 2\n", "line 2: expected a blank line"),
+        ("4\n-0 1\n", "line 2: expected a blank line"),
+        ("20\n1_0 12\n", "line 2: expected a blank line"),
+        ("4\n0 \u0661\n", "line 2: expected a blank line"),
+        ("4\n0\x0b1\n", "line 2: expected a blank line"),
+        ("4\n0 1\n\x0c\n", "line 3: expected a blank line"),
+        ("4\n0 1\x0c\n", "line 2: expected a blank line"),
+        ("4\n0 1\r1 2\n", "line 2: expected 'u v'"),
+        ("\x0c\n4\n", "line 1: vertex count expected"),
+    ],
+)
+def test_read_edge_list_rejects_outside_the_format(text, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}"):
+        read_edge_list(text)
+
+
+def test_read_edge_list_vertex_cap():
+    with pytest.raises(VertexCapExceeded, match="2000000 vertices"):
+        read_edge_list("2000000\n")
+    # refused at the vertex count, before the faulty line after it is read
+    with pytest.raises(VertexCapExceeded, match="above the cap of 4"):
+        read_edge_list("# c\n5\n0 0\n", vertex_cap=4)
+    assert read_edge_list("5\n0 1\n", vertex_cap=5).n == 5
+
+
+_CORRUPTIONS = "0123456789-x# \t\n"
+_SIGNED_ZERO = re.compile(r"(?<![^ \t\n])-0+(?![^ \t\r\n])")
+
+
+def _decorated_edge_list(rng: random.Random, g: Graph) -> str:
+    """g as edge-list text with its edges shuffled, comment and blank lines,
+    indentation, tabs and a mix of "\n" and "\r\n" endings."""
+    pad = ["", " ", "\t", " \t"]
+    sep = [" ", "\t", "  ", " \t "]
+    filler = ["", " \t", "# note", "  # indented", "\t#"]
+    lines = [rng.choice(filler) for _ in range(rng.randint(0, 2))]
+    lines.append(rng.choice(pad) + str(g.n) + rng.choice(pad))
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for u, v in edges:
+        while rng.random() < 0.15:
+            lines.append(rng.choice(filler))
+        lines.append(rng.choice(pad) + str(u) + rng.choice(sep) + str(v) + rng.choice(pad))
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+def _corrupt_text(rng: random.Random, text: str) -> str:
+    """text with one character from _CORRUPTIONS inserted or put in place of
+    another.  Every "\r" keeps its "\n": a lone "\r" ends no line of the
+    format, though str.splitlines breaks there."""
+    spots = [p for p in range(len(text) + 1) if text[p - 1 : p] != "\r"]
+    p = rng.choice(spots)
+    ch = rng.choice(_CORRUPTIONS)
+    if p < len(text) and rng.random() < 0.5:
+        return text[:p] + ch + text[p + 1 :]
+    return text[:p] + ch + text[p:]
+
+
+def _outcome(read, text: str) -> Graph | str:
+    try:
+        return read(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def test_read_edge_list_matches_reference_parser():
+    rng = random.Random(515)
+    faults = narrowed = 0
+    for seed in range(400):
+        g = random_graph(rng.randint(0, 14), rng.random(), seed)
+        text = _decorated_edge_list(rng, g)
+        assert read_edge_list(text) == reference_read_edge_list(text) == g
+        bad = _corrupt_text(rng, text)
+        expected = _outcome(reference_read_edge_list, bad)
+        got = _outcome(read_edge_list, bad)
+        signed = _SIGNED_ZERO.search(bad)
+        if isinstance(expected, Graph) and signed:
+            # int() reads "-0" as 0; an id of the format has no sign
+            line = bad.count("\n", 0, signed.start()) + 1
+            assert got.startswith(f"line {line}: expected a blank line"), bad
+            narrowed += 1
+            continue
+        assert got == expected, bad
+        faults += isinstance(got, str)
+    # the corruptions reach the error paths, and the narrowing case is rare
+    assert faults > 150 and narrowed < 20
 
 
 def _reference_edge_list(g: Graph) -> str:
