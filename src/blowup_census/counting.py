@@ -3,10 +3,11 @@
 Two deliberately independent algorithms, each exact:
 
 * enumeration visits every 4-vertex subset {a < b < c < d} and keeps those
-  in which each of the four induced degrees is exactly two (equivalent to
-  being an induced 4-cycle).  It is bit-sliced: for each c it tests the
-  predicate on all pairs a < b < c at once, against 64 candidates d per
-  uint64 word of the adjacency rows, and counts survivors with a popcount;
+  in which {a, b, c} induces a path and d sees the path's two ends but not
+  its centre (equivalent to being an induced 4-cycle).  For each c it lists
+  the induced paths on pairs a < b < c by their centre, then tests every
+  candidate d > c of a path at once, 64 per uint64 word of the adjacency
+  rows, with one AND and a popcount;
 * the diagonal method sums, over non-edges {u, v}, the number of unordered
   non-adjacent pairs inside N(u) & N(v), then halves.  An induced 4-cycle has
   exactly two non-adjacent diagonal pairs, so it is counted once per diagonal
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -97,82 +97,88 @@ class CheckedCount:
 # Exhaustive subset scan
 # ---------------------------------------------------------------------------
 #
-# Subsets {a < b < c < d} are grouped by their third vertex c, which is
-# looped over in Python.  For one c, the pairs a < b < c form the lower
-# triangle of a (b, a) grid.  A chunk of consecutive b is handled as a
-# rectangle whose columns are every a below the chunk's largest b, so the
-# rows of a and b broadcast against each other without a gather; cells with
-# a >= b are padding.  The candidates d > c are held bit-sliced: the
-# adjacency words from word (c + 1) // 64 on, 64 candidates per uint64,
-# with the bits at or below c masked off the first word.  The edges ab, ac
-# and bc are scalars per cell, spread to all-ones or all-zeros words.  A
-# subset is kept when each of its four induced degrees is exactly two; four
-# degrees of two sum to 8, so by the handshake lemma the subset has exactly
-# 4 edges and is 2-regular on four vertices, which is an induced 4-cycle.
-# Every one of the C(n, 4) subsets is tested literally, and
-# np.bitwise_count adds up the survivors.
+# A 4-set {a < b < c < d} induces a 4-cycle iff {a, b, c} induces a path
+# (exactly two of ab, ac and bc are edges) and d is adjacent to the path's
+# two ends and not to its centre.  Deleting any vertex of an induced 4-cycle
+# leaves an induced path whose ends are that vertex's two cycle neighbours
+# and whose centre is its opposite, which it does not see.  Conversely, a
+# path x - y - z with d adjacent to x and z but not to y has the edges xy,
+# yz, zd and dx and, the path being induced, neither xz nor yd: the cycle
+# x - y - z - d - x, induced.
+#
+# Subsets are grouped by their third vertex c, which is looped over in
+# Python.  For one c the pairs a < b < c form the lower triangle of a (b, a)
+# grid, unpacked from the adjacency rows a chunk of consecutive b at a time;
+# cells with a >= b are masked off.  The missing edge of a path names its
+# centre, so the cells split into three masks, one per centre, and no cell
+# is in two.  Each mask becomes (a, b) pairs through its flat nonzero
+# indices and a division by the chunk width.  The candidates d are
+# bit-sliced, 64 per uint64 word of the row-major rows W, and with
+# P = W & W[c] and Q = W & ~W[c], both masked to d > c, each centre is one
+# popcount over gathered rows:
+#
+#   centre b (ab, bc; no ac):  |P[a] & ~W[b]|
+#   centre a (ab, ac; no bc):  |~W[a] & P[b]|
+#   centre c (ac, bc; no ab):  |Q[a] & W[b]|
+#
+# Every term holds P or Q, which have no bits at or below c and none beyond
+# n, so the set padding bits of ~W never count.  Each of the C(n, 4) subsets
+# is decided once, by the test of the path on its three smallest vertices,
+# and np.bitwise_count adds up the survivors.
 
-# A chunk of the scan holds arrays of (words, b rows, a columns) uint64 of at
-# most this many bytes each, and at least one b row whatever the budget.
+# A chunk of the scan unpacks at most this many (b, a) cells, one byte each,
+# and each gathered (pairs, words) uint64 operand holds at most this many
+# bytes: the pairs of a mask are gathered in slices that fill it.  At least
+# one b row and one pair whatever the budget.
 _ENUM_BLOCK_BYTES = 1 << 17
 
 
-def _exactly_two(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Bitwise: set where exactly two of x, y and z are set.
-
-    The same predicate as ((x & y) | (z & (x ^ y))) & ~(x & y & z), in fewer
-    operations: where x and y are both set z must be clear, where exactly
-    one is set z must be set, and where neither is set no bit survives.
-    """
-    out = z & (x | y)
-    out ^= x & y
-    return out
-
-
-def _full_words(bits: np.ndarray) -> np.ndarray:
-    """A 0/1 array as uint64 words of all zeros or all ones."""
-    return np.uint64(0) - bits.astype(np.uint64)  # wraps modulo 2**64
-
-
-def _word_columns(packed: np.ndarray) -> np.ndarray:
-    """Packed uint8 rows as a (ceil(n/64), n) uint64 matrix whose entry
-    (w, v) holds the bits 64w .. 64w + 63 of row v."""
-    n, width = packed.shape
-    padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, :width] = packed
-    return np.ascontiguousarray(padded.view("<u8").T)
-
-
-def _enum_count_for_c(packed: np.ndarray, words: np.ndarray, c: int) -> int:
-    """Induced 4-cycles {a < b < c < d} with this third vertex c."""
-    tail = words[(c + 1) >> 6 :]
+def _enum_count_for_c(packed: np.ndarray, words: np.ndarray, far: np.ndarray, c: int) -> int:
+    """Induced 4-cycles {a < b < c < d} with this third vertex c; far is ~words."""
+    w0 = (c + 1) >> 6
+    tail, far = words[:, w0:], far[:, w0:]
+    x_c = tail[c]
     first = ~np.uint64(0) << np.uint64((c + 1) & 63)
-    xc = tail[:, c, None, None]
-    row_c = np.unpackbits(packed[c], count=c, bitorder="little")  # ac and bc, by symmetry
-    step = max(1, _ENUM_BLOCK_BYTES // (8 * len(tail) * c))
+    ends = tail & x_c  # P
+    ends[:, 0] &= first
+    off = tail & ~x_c  # Q
+    off[:, 0] &= first
+    cap = max(1, _ENUM_BLOCK_BYTES // (8 * tail.shape[1]))
+    row_c = np.unpackbits(packed[c], count=c, bitorder="little").view(bool)  # ac and bc
+    step = max(1, _ENUM_BLOCK_BYTES // c)
     total = 0
     for b0 in range(1, c, step):
         b1 = min(b0 + step, c)
         width = b1 - 1
         below = np.arange(width) < np.arange(b0, b1)[:, None]
-        ab = _full_words(np.unpackbits(packed[b0:b1], axis=1, count=width, bitorder="little"))
-        # zeroing ac and bc on the padding cells makes their c test zero
-        ac = _full_words(row_c[:width] & below)
-        bc = _full_words(row_c[b0:b1, None] & below)
-        xa = tail[:, None, :width]
-        xb = tail[:, b0:b1, None]
-        keep = _exactly_two(ab, ac, xa)
-        keep &= _exactly_two(ab, bc, xb)
-        keep &= _exactly_two(ac, bc, xc)
-        keep &= _exactly_two(xa, xb, xc)
-        keep[0] &= first
-        total += int(np.bitwise_count(keep).sum())
+        ab = np.unpackbits(packed[b0:b1], axis=1, count=width, bitorder="little").view(bool)
+        ab &= below
+        ac = row_c[:width] & below
+        bc = row_c[b0:b1, None]
+        for mask, at_a, at_b in (
+            (np.greater(ab & bc, ac), ends, far),  # centre b: |P[a] & ~W[b]|
+            (np.greater(ab & ac, bc), far, ends),  # centre a: |~W[a] & P[b]|
+            (np.greater(ac & bc, ab), off, tail),  # centre c: |Q[a] & W[b]|
+        ):
+            a = mask.ravel().nonzero()[0]
+            b = a // width  # counts from b0
+            a -= b * width
+            at_b = at_b[b0:]
+            for s in range(0, len(a), cap):
+                both = at_a.take(a[s : s + cap], axis=0)
+                both &= at_b.take(b[s : s + cap], axis=0)
+                total += int(np.bitwise_count(both).sum())
     return total
 
 
 def _enum_count(packed: np.ndarray, c_values) -> int:
-    words = _word_columns(packed)
-    return sum(_enum_count_for_c(packed, words, c) for c in c_values)
+    """Induced 4-cycles whose third vertex lies in c_values."""
+    n, width = packed.shape
+    padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = packed
+    words = padded.view("<u8")  # row v holds bits 64w .. 64w + 63 of v in word w
+    far = ~words
+    return sum(_enum_count_for_c(packed, words, far, c) for c in c_values)
 
 
 def _enum_worker(args) -> int:
@@ -211,6 +217,9 @@ def count_induced_c4_enum(
     if size == 1:
         value = _enum_count(packed, cs)
     else:
+        # imported here: it pulls in multiprocessing, which a one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [cs[w::size] for w in range(size)]
         with ProcessPoolExecutor(max_workers=size) as pool:
             value = sum(pool.map(_enum_worker, [(packed, chunk) for chunk in chunks]))

@@ -36,7 +36,6 @@ __all__ = [
     "GraphFormatError",
     "NonEdge",
     "VertexCapExceeded",
-    "blob_of",
     "complete_graph",
     "compose",
     "cycle_graph",
@@ -44,7 +43,6 @@ __all__ = [
     "nested_blowup",
     "non_edges",
     "read_edge_list",
-    "relabel",
     "theta_222",
     "write_edge_list",
 ]
@@ -132,23 +130,6 @@ class Graph:
         return cls(n, rows)
 
     # -- queries ------------------------------------------------------------
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise IndexError(f"vertex pair ({u}, {v}) out of range")
-        return bool((self.rows[u] >> v) & 1)
-
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self.rows[v])
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.rows))
 
     @property
     def edge_count(self) -> int:
@@ -362,13 +343,6 @@ def nested_blowup(spec: BlowupSpec, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
     return g
 
 
-def blob_of(v: int, spec: BlowupSpec) -> int:
-    """Index of the blob (base vertex) whose copy contains vertex v."""
-    if not 0 <= v < spec.total_order:
-        raise IndexError(f"vertex {v} out of range for order {spec.total_order}")
-    return v // spec.blob_order
-
-
 # ---------------------------------------------------------------------------
 # Non-edges
 # ---------------------------------------------------------------------------
@@ -381,24 +355,6 @@ def non_edges(g: Graph) -> Iterator[NonEdge]:
         above = (full >> (u + 1)) << (u + 1)
         for v in _bits(above & ~g.rows[u]):
             yield NonEdge(u, v)
-
-
-# ---------------------------------------------------------------------------
-# Relabeling (test plumbing for isomorphism-invariance checks)
-# ---------------------------------------------------------------------------
-
-
-def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Apply a vertex permutation: vertex v of g becomes perm[v]."""
-    mapping = list(perm)
-    if sorted(mapping) != list(range(g.n)):
-        raise ValueError("relabeling must be a permutation of the vertex ids")
-    rows = [0] * g.n
-    for u, v in g.edges():
-        pu, pv = mapping[u], mapping[v]
-        rows[pu] |= 1 << pv
-        rows[pv] |= 1 << pu
-    return Graph(g.n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

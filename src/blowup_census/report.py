@@ -15,6 +15,7 @@ fail the run.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import re
 import time
@@ -102,7 +103,7 @@ class VerificationReport:
     config: RunConfig
     levels: list[LevelRecord]
     findings: list[Finding]
-    meta: dict[str, str]
+    meta: dict[str, Any]
 
     @property
     def passed(self) -> bool:
@@ -377,6 +378,13 @@ def _stated_note(stated: int | Rational) -> str:
     return note
 
 
+def _blas_meta() -> dict[str, str | None]:
+    """Name and version of the BLAS numpy was built against, from its build
+    configuration; None where the build does not record them."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {"blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def build_report(config: RunConfig, custom_base: Graph | None = None) -> VerificationReport:
     """Run the full verification pipeline described by ``config``."""
     if config.family is Family.CUSTOM and custom_base is None:
@@ -395,6 +403,8 @@ def build_report(config: RunConfig, custom_base: Graph | None = None) -> Verific
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        **_blas_meta(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     return VerificationReport(

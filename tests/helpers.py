@@ -1,13 +1,15 @@
 """Shared test utilities: a seeded random-graph model, a deliberately naive
 induced-4-cycle oracle and a per-line edge-list parser, both sharing no code
-with the package beyond the Graph type."""
+with the package beyond the Graph type, and small adjacency queries on a
+Graph's rows."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterable
 
-from blowup_census import Graph, GraphFormatError
+from blowup_census import BlowupSpec, Graph, GraphFormatError
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -15,6 +17,41 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise IndexError(f"vertex pair ({u}, {v}) out of range")
+    return bool((g.rows[u] >> v) & 1)
+
+
+def neighbors(g: Graph, v: int) -> list[int]:
+    """Neighbours of v, ascending."""
+    return [u for u in range(g.n) if (g.rows[v] >> u) & 1]
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(row.bit_count() for row in g.rows))
+
+
+def blob_of(v: int, spec: BlowupSpec) -> int:
+    """Index of the blob (base vertex) whose copy contains vertex v."""
+    if not 0 <= v < spec.total_order:
+        raise IndexError(f"vertex {v} out of range for order {spec.total_order}")
+    return v // spec.blob_order
+
+
+def relabel(g: Graph, perm: Iterable[int]) -> Graph:
+    """Apply a vertex permutation: vertex v of g becomes perm[v]."""
+    mapping = list(perm)
+    if sorted(mapping) != list(range(g.n)):
+        raise ValueError("relabeling must be a permutation of the vertex ids")
+    rows = [0] * g.n
+    for u, v in g.edges():
+        pu, pv = mapping[u], mapping[v]
+        rows[pu] |= 1 << pv
+        rows[pv] |= 1 << pu
+    return Graph(g.n, tuple(rows))
 
 
 def brute_force_c4_count(g: Graph) -> int:

@@ -29,7 +29,6 @@ from blowup_census import (
     nested_blowup,
     non_edges,
     read_edge_list,
-    relabel,
     theta_222,
     theta_closed_T,
     theta_edges_closed,
@@ -39,7 +38,7 @@ from blowup_census import (
     write_edge_list,
 )
 from blowup_census.cli import main as cli_main
-from helpers import random_graph
+from helpers import random_graph, relabel
 
 from math import comb
 

@@ -242,3 +242,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "1,16,80,40,404"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the enumeration pool is imported only when a run asks for more than one worker
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, blowup_census.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,13 +28,12 @@ from blowup_census import (
     cycle_graph,
     empty_graph,
     nested_blowup,
-    relabel,
     theta_222,
 )
 from blowup_census import counting
 from blowup_census.counting import _diagonal_raw, _diagonal_raw_sum, _pool_size
 from blowup_census.graphs import _packed_rows
-from helpers import brute_force_c4_count, random_graph
+from helpers import brute_force_c4_count, random_graph, relabel
 
 
 def test_c4_base_counts():
@@ -167,7 +167,8 @@ def test_enumeration_across_chunks(monkeypatch):
 
 
 def test_enumeration_chunks_stay_under_the_budget(monkeypatch):
-    # the largest array of the scan is the chunk handed to the popcount
+    # every gathered operand is handed to the popcount; the scan fills them
+    # up to the budget and never past it
     g = random_graph(200, 0.5, 3)
     budget = 1 << 14
     largest = 0
@@ -184,6 +185,50 @@ def test_enumeration_chunks_stay_under_the_budget(monkeypatch):
     monkeypatch.undo()
     assert value == count_induced_c4_enum(g).value
     assert budget // 4 < largest <= budget
+
+
+def _path_centres(g: Graph) -> list[str]:
+    """For each induced 4-cycle {a < b < c < d} of g, found by brute force,
+    the centre of the induced path on {a, b, c}: the one of them d does not see."""
+    centres = []
+    for quad in combinations(range(g.n), 4):
+        degrees = [sum((g.rows[u] >> v) & 1 for v in quad) for u in quad]
+        if degrees == [2, 2, 2, 2]:
+            *path, d = quad
+            centres.append("abc"[next(i for i, x in enumerate(path) if not (g.rows[x] >> d) & 1)])
+    return centres
+
+
+@pytest.mark.parametrize("centre", ["a", "b", "c"])
+def test_enumeration_by_path_centre(centre, monkeypatch):
+    # seeded small graphs whose induced 4-cycles all have this path centre,
+    # then all of them at once on interleaved labels of a 140-vertex graph
+    # (order kept within each part, so every centre stays the same), with
+    # the word boundaries 63/64 and 127/128 among the labels
+    rng = random.Random(f"path-centre-{centre}")
+    parts = []
+    while len(parts) < 16:
+        g = random_graph(rng.randint(5, 9), rng.uniform(0.2, 0.8), rng.randrange(10**9))
+        centres = _path_centres(g)
+        if centres and set(centres) == {centre}:
+            assert count_induced_c4_enum(g).value == brute_force_c4_count(g) == len(centres)
+            parts.append(g)
+    n = 140
+    sizes = [g.n for g in parts]
+    boundary = [63, 64, 127, 128]
+    slots = boundary + rng.sample([v for v in range(n) if v not in boundary], sum(sizes) - 4)
+    rng.shuffle(slots)
+    edges = []
+    for g, start in zip(parts, np.cumsum([0] + sizes[:-1]).tolist()):
+        labels = sorted(slots[start : start + g.n])
+        edges += [(labels[u], labels[v]) for u, v in g.edges()]
+    whole = Graph.from_edges(n, edges)
+    expected = sum(brute_force_c4_count(g) for g in parts)
+    assert expected >= 16
+    assert count_induced_c4_enum(whole).value == expected
+    for budget in (1, 8 * 3 * 64):
+        monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
+        assert count_induced_c4_enum(whole).value == expected, f"budget={budget}"
 
 
 def test_odd_raw_sum_raises(monkeypatch):

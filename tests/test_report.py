@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from blowup_census import (
@@ -80,6 +82,20 @@ def test_meta_contents():
     # RFC 3339: date, 'T', time, explicit offset
     assert "T" in report.meta["timestamp"]
     assert report.meta["timestamp"].endswith("+00:00")
+
+
+def test_meta_records_cores_and_blas():
+    report = build_report(_config(max_level=0))
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert report.meta["cpu_count"] == os.cpu_count()
+    assert report.meta["blas"] == blas["name"]
+    assert report.meta["blas_version"] == blas["version"]
+    assert VerificationReport.from_json(report.to_json()).meta == report.meta
+    # the environment is not part of the substance two runs are compared by
+    other = build_report(_config(max_level=0))
+    other.meta.update(cpu_count=-1, blas="other", blas_version="0")
+    assert other.comparable_dict() == report.comparable_dict()
+    assert "cpu_count" not in json.dumps(report.comparable_dict())
 
 
 def test_determinism_modulo_timings():
