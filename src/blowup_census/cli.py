@@ -222,7 +222,7 @@ def _cmd_count(args) -> int:
     record = {
         "graph": {**source, "vertices": graph.n, "edges": graph.edge_count},
         "results": [
-            {"method": r.method.value, "value": r.value, "elapsed": r.elapsed}
+            {"method": r.method.value, "value": r.value, "elapsed": r.elapsed, "work": r.work}
             for r in results
         ],
         "agreed": agreed,

@@ -11,9 +11,13 @@ Two deliberately independent algorithms, each exact:
 * the diagonal method sums, over non-edges {u, v}, the number of unordered
   non-adjacent pairs inside N(u) & N(v), then halves.  An induced 4-cycle has
   exactly two non-adjacent diagonal pairs, so it is counted once per diagonal
-  and the raw sum is always even.  It handles all non-edges {u, v > u} of
-  one vertex u with a single float32 matrix product, exact below 2**24
-  vertices (see ``_diagonal_raw_sum``).
+  and the raw sum is always even.  The summand depends only on the rows of
+  u and v, so vertices with equal rows form one class, and one float32
+  matrix product per distinct neighbourhood covers the non-edges of its
+  class with the later classes and within itself, each product row weighted
+  by the number of non-edges it stands for.  The products are exact below
+  2**24 vertices (see ``_diagonal_raw_sum``).  The method reads only the
+  built graph and uses no blow-up identity.
 
 The two share nothing but the packed rows of ``graphs._packed_rows``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
@@ -27,9 +31,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -79,9 +84,14 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class CountResult:
+    """A count with its wall time and work counters: ``subsets`` scanned for
+    enumeration; distinct ``neighbourhoods`` and X ``rows`` multiplied for
+    the diagonal method."""
+
     value: int
     method: Method
     elapsed: float
+    work: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -204,7 +214,7 @@ def count_induced_c4_enum(
     """
     start = time.perf_counter()
     if g.n < 4:
-        return CountResult(0, Method.ENUMERATION, time.perf_counter() - start)
+        return CountResult(0, Method.ENUMERATION, time.perf_counter() - start, {"subsets": 0})
     subsets = comb(g.n, 4)
     if subsets > subset_cap:
         raise SubsetCapExceeded(
@@ -223,7 +233,9 @@ def count_induced_c4_enum(
         chunks = [cs[w::size] for w in range(size)]
         with ProcessPoolExecutor(max_workers=size) as pool:
             value = sum(pool.map(_enum_worker, [(packed, chunk) for chunk in chunks]))
-    return CountResult(value, Method.ENUMERATION, time.perf_counter() - start)
+    return CountResult(
+        value, Method.ENUMERATION, time.perf_counter() - start, {"subsets": subsets}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +248,18 @@ def count_induced_c4_enum(
 # holds |N(w) & S_v| for each w in N(u); masking it with X and summing gives
 # twice the number of edges inside S_v.  One matmul per u covers all of its
 # non-edges {u, v > u}.
+#
+# The summand of a non-edge {u, v} depends only on the rows N(u) and N(v),
+# so vertices with equal rows (false twins) are grouped into classes and
+# only the smallest id of each class, its representative, is looped over.
+# Two vertices with equal rows are never adjacent (u in N(v) = N(u) would
+# be a self-loop), so every pair inside a class of size m is a non-edge,
+# C(m, 2) of them with S = N(u).  Two classes are all adjacent or all not:
+# v in N(u) puts v in the equal row of every member of u's class.  So the
+# X rows of a representative u are the later representatives v it does not
+# see, each standing for m_u * m_v non-edges, plus u's own row, standing
+# for C(m_u, 2), when m_u > 1.  In a twin-free graph every class is a
+# single vertex and this is the per-vertex loop with every weight 1.
 
 # float32 represents every integer below 2**24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
@@ -246,15 +270,37 @@ def _dense_adjacency(g: Graph) -> np.ndarray:
     return np.unpackbits(_packed_rows(g.n, g.rows), axis=1, count=g.n, bitorder="little")
 
 
-def _diagonal_raw(adj: np.ndarray) -> int:
+def _neighbourhood_classes(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices grouped by equal rows: the representatives (smallest id of
+    each class) in ascending order, and the class size indexed by
+    representative.  Rows are hashed packed, never sorted."""
+    keys = map(bytes, np.packbits(adj, axis=1))
+    first: dict[bytes, int] = {}
+    label = [first.setdefault(key, v) for v, key in enumerate(keys)]
+    return np.fromiter(first.values(), dtype=np.intp), np.bincount(label, minlength=len(adj))
+
+
+def _diagonal_raw(adj: np.ndarray, work: dict[str, int] | None = None) -> int:
     """Sum over non-edges {u, v} of the non-adjacent pairs in N(u) & N(v),
-    computed per u as C(s_v, 2) - (1/2) * rowsum_v((X @ A_u) * X)."""
-    raw = 0
-    for u, row in enumerate(adj):
+    computed per representative u as the weighted sum of
+    C(s_v, 2) - (1/2) * rowsum_v((X @ A_u) * X).
+
+    ``work``, when given, receives the number of distinct neighbourhoods
+    and of X rows multiplied."""
+    reps, size = _neighbourhood_classes(adj)
+    raw = rows = 0
+    for i, u in enumerate(reps.tolist()):
+        row = adj[u]
         nbrs = np.flatnonzero(row)
         if len(nbrs) < 2:
             continue
-        far = np.flatnonzero(row[u + 1 :] == 0) + (u + 1)
+        later = reps[i + 1 :]
+        far = later[row.take(later) == 0]
+        m = int(size[u])
+        weights = (size.take(far) * m).tolist()
+        if m > 1:
+            far = np.append(far, u)
+            weights.append(comb(m, 2))
         if not len(far):
             continue
         common = adj[far][:, nbrs].astype(np.float32)
@@ -263,11 +309,14 @@ def _diagonal_raw(adj: np.ndarray) -> int:
         twice_edges = (paths * common).sum(axis=1, dtype=np.int64)
         if (twice_edges & 1).any():
             raise CountParityError("handshake parity violated: adjacency is not symmetric")
-        raw += sum((sizes * (sizes - 1) // 2 - twice_edges // 2).tolist())
+        raw += sum(map(mul, weights, (sizes * (sizes - 1) // 2 - twice_edges // 2).tolist()))
+        rows += len(far)
+    if work is not None:
+        work.update(neighbourhoods=len(reps), rows=rows)
     return raw
 
 
-def _diagonal_raw_sum(g: Graph) -> int:
+def _diagonal_raw_sum(g: Graph, work: dict[str, int] | None = None) -> int:
     """Raw diagonal sum, before halving; even for every simple graph.
 
     The matrix products run in float32.  Entry (v, w) of X @ A_u is
@@ -276,14 +325,16 @@ def _diagonal_raw_sum(g: Graph) -> int:
     While n < 2**24 each of these values is an integer that float32
     represents exactly, so larger graphs are refused before any matrix is
     allocated.  Row sums and C(s, 2) terms are reduced in int64 (each below
-    2**48) and added up as Python ints.
+    2**48).  A row's weight, m_u * m_v or C(m_u, 2) non-edges, is below
+    n**2 <= 2**48, so a weighted term could overflow int64: the weights
+    multiply and add up as Python ints.
     """
     if g.n >= FLOAT32_EXACT_LIMIT:
         raise VertexCapExceeded(
             f"the diagonal counter is exact only below {FLOAT32_EXACT_LIMIT} "
             f"(2**24) vertices, got {g.n}"
         )
-    return _diagonal_raw(_dense_adjacency(g))
+    return _diagonal_raw(_dense_adjacency(g), work)
 
 
 def count_induced_c4_diagonal(g: Graph) -> CountResult:
@@ -293,10 +344,11 @@ def count_induced_c4_diagonal(g: Graph) -> CountResult:
     the float32 products could be inexact.
     """
     start = time.perf_counter()
-    raw = _diagonal_raw_sum(g)
+    work: dict[str, int] = {}
+    raw = _diagonal_raw_sum(g, work)
     if raw % 2:
         raise CountParityError(f"diagonal raw sum {raw} is odd: counting bug")
-    return CountResult(raw // 2, Method.DIAGONAL, time.perf_counter() - start)
+    return CountResult(raw // 2, Method.DIAGONAL, time.perf_counter() - start, work)
 
 
 def count_both_and_check(

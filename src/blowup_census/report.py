@@ -95,6 +95,7 @@ class LevelRecord:
     breakdown: TermBreakdown | None
     match_flags: dict[str, bool | str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    work: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -144,11 +145,13 @@ class VerificationReport:
         return cls.from_json_dict(json.loads(text))
 
     def comparable_dict(self) -> dict[str, Any]:
-        """The deterministic substance: everything except timings and meta."""
+        """The deterministic substance: everything except timings, work
+        counters and meta."""
         d = self.to_json_dict()
         d.pop("meta")
         for rec in d["levels"]:
             rec.pop("timings")
+            rec.pop("work")
         return d
 
 
@@ -180,6 +183,7 @@ def _encode_level(rec: LevelRecord) -> dict[str, Any]:
         "breakdown": None if rec.breakdown is None else asdict(rec.breakdown),
         "match_flags": dict(rec.match_flags),
         "timings": dict(rec.timings),
+        "work": {method: dict(counts) for method, counts in rec.work.items()},
     }
 
 
@@ -199,6 +203,8 @@ def _decode_level(d: dict[str, Any]) -> LevelRecord:
         breakdown=None if breakdown is None else TermBreakdown(**breakdown),
         match_flags=dict(d["match_flags"]),
         timings=dict(d["timings"]),
+        # reports written before work counters existed have none
+        work={method: dict(counts) for method, counts in d.get("work", {}).items()},
     )
 
 
@@ -252,6 +258,7 @@ def _build_level(
     bundle = FORMULAS.get(spec.family.value)
     order = spec.total_order
     timings: dict[str, float] = {}
+    work: dict[str, dict[str, int]] = {}
     n = spec.level
 
     if bundle is not None:
@@ -289,6 +296,7 @@ def _build_level(
         )
         t_enum = result.value
         timings["enum"] = result.elapsed
+        work["enum"] = result.work
 
     t_diag: int | str
     if "diagonal" not in config.methods:
@@ -299,6 +307,7 @@ def _build_level(
         result = count_induced_c4_diagonal(graph)
         t_diag = result.value
         timings["diagonal"] = result.elapsed
+        work["diagonal"] = result.work
 
     comparisons: dict[str, tuple[Any, Any, str]] = {
         "enum_vs_diagonal": (t_enum, t_diag, "internal counter disagreement"),
@@ -363,6 +372,7 @@ def _build_level(
         breakdown=breakdown,
         match_flags=flags,
         timings=timings,
+        work=work,
     )
 
 

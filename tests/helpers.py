@@ -1,13 +1,16 @@
 """Shared test utilities: a seeded random-graph model, a deliberately naive
 induced-4-cycle oracle and a per-line edge-list parser, both sharing no code
-with the package beyond the Graph type, and small adjacency queries on a
-Graph's rows."""
+with the package beyond the Graph type, the per-vertex diagonal sum the
+package's grouped one must equal, and small adjacency queries on a Graph's
+rows."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from blowup_census import BlowupSpec, Graph, GraphFormatError
 
@@ -116,3 +119,26 @@ def reference_read_edge_list(text: str) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
+
+
+def reference_diagonal_raw(adj: np.ndarray) -> int:
+    """Reference diagonal raw sum: one float32 product per vertex u over all
+    of its non-edges {u, v > u}, each row weighted 1, with no grouping of
+    equal rows; the sum over non-edges of the non-adjacent pairs in
+    N(u) & N(v)."""
+    raw = 0
+    for u, row in enumerate(adj):
+        nbrs = np.flatnonzero(row)
+        if len(nbrs) < 2:
+            continue
+        far = np.flatnonzero(row[u + 1 :] == 0) + (u + 1)
+        if not len(far):
+            continue
+        common = adj[far][:, nbrs].astype(np.float32)
+        paths = common @ adj[nbrs][:, nbrs].astype(np.float32)
+        sizes = common.sum(axis=1, dtype=np.int64)
+        twice_edges = (paths * common).sum(axis=1, dtype=np.int64)
+        if (twice_edges & 1).any():
+            raise ValueError("handshake parity violated: adjacency is not symmetric")
+        raw += sum((sizes * (sizes - 1) // 2 - twice_edges // 2).tolist())
+    return raw

@@ -321,3 +321,22 @@ def test_criterion_12_theta_level_three_both_counters():
         f"enumeration == diagonal == recurrence == {expected} on 625 vertices; "
         f"enum over C(625,4)~6.3e9 took {enum.elapsed:.1f}s < 120s",
     )
+
+
+def test_criterion_13_theta_level_four_diagonal():
+    # theta L4 has 3125 vertices in 1250 classes of equal rows; the diagonal
+    # counter multiplies once per class, which brings it inside the budget
+    expected = 774665211375
+    assert theta_recurrence_T(4) == theta_closed_T(4, Variant.DERIVED) == expected
+
+    g = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    assert (g.n, g.edge_count, g.non_edge_count) == (3125, 2928750, 1952500)
+    diag = count_induced_c4_diagonal(g)
+    assert diag.value == expected
+    assert diag.elapsed < 60.0
+    _report(
+        13,
+        f"diagonal on 3125 vertices ({diag.work['neighbourhoods']} distinct "
+        f"neighbourhoods) {diag.value} == recurrence == derived in "
+        f"{diag.elapsed:.1f}s < 60s",
+    )

@@ -86,6 +86,10 @@ def test_count_json_record(tmp_path, capsys):
         "enum": 404,
         "diagonal": 404,
     }
+    assert {r["method"]: r["work"] for r in record["results"]} == {
+        "enum": {"subsets": 1820},
+        "diagonal": {"neighbourhoods": 8, "rows": 16},
+    }
     assert json.loads(capsys.readouterr().out) == record
 
 

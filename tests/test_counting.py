@@ -22,6 +22,7 @@ from blowup_census import (
     SubsetCapExceeded,
     VertexCapExceeded,
     complete_graph,
+    compose,
     count_both_and_check,
     count_induced_c4_diagonal,
     count_induced_c4_enum,
@@ -31,9 +32,15 @@ from blowup_census import (
     theta_222,
 )
 from blowup_census import counting
-from blowup_census.counting import _diagonal_raw, _diagonal_raw_sum, _pool_size
+from blowup_census.counting import (
+    _dense_adjacency,
+    _diagonal_raw,
+    _diagonal_raw_sum,
+    _neighbourhood_classes,
+    _pool_size,
+)
 from blowup_census.graphs import _packed_rows
-from helpers import brute_force_c4_count, random_graph, relabel
+from helpers import brute_force_c4_count, random_graph, reference_diagonal_raw, relabel
 
 
 def test_c4_base_counts():
@@ -231,8 +238,103 @@ def test_enumeration_by_path_centre(centre, monkeypatch):
         assert count_induced_c4_enum(whole).value == expected, f"budget={budget}"
 
 
+def _planted_twin_graphs() -> list[Graph]:
+    """Seeded graphs full of twins, each also relabelled so that no class of
+    equal rows is consecutive: false twins from compose(G, empty_k) and
+    compose(H, G), true twins (adjacent, rows equal but for each other) from
+    compose(G, K_k), isolated vertices appended, and twin-free graphs."""
+    rng = random.Random("planted-twins")
+    graphs = []
+    for _ in range(24):
+        g = random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.9), rng.randrange(10**9))
+        h = random_graph(rng.randint(1, 5), rng.uniform(0.1, 0.9), rng.randrange(10**9))
+        k = rng.randint(2, 4)
+        loose = Graph(g.n + k, g.rows + (0,) * k)
+        for x in (compose(g, empty_graph(k)), compose(g, complete_graph(k)), compose(h, g), loose):
+            perm = list(range(x.n))
+            rng.shuffle(perm)
+            graphs += [x, relabel(x, perm)]
+    while len(graphs) < 220:
+        g = random_graph(rng.randint(4, 30), rng.uniform(0.1, 0.9), rng.randrange(10**9))
+        if len(set(g.rows)) == g.n:
+            graphs.append(g)
+    return graphs
+
+
+def test_grouped_diagonal_matches_per_vertex_reference():
+    graphs = _planted_twin_graphs()
+    grouped = 0
+    for g in graphs:
+        adj = _dense_adjacency(g)
+        raw = _diagonal_raw(adj)
+        assert raw == reference_diagonal_raw(adj), f"n={g.n} rows={g.rows}"
+        if g.n <= 14:
+            assert raw // 2 == count_induced_c4_diagonal(g).value == brute_force_c4_count(g)
+        grouped += len(set(g.rows)) < g.n
+    assert grouped >= 100
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (compose(complete_graph(3), empty_graph(2)), 3),  # K_{2,2,2}: one C4 per pair of parts
+        (compose(complete_graph(2), empty_graph(3)), 9),  # K_{3,3}
+        (compose(empty_graph(2), compose(complete_graph(2), empty_graph(2))), 2),  # 2 C4s
+        (Graph.from_edges(6, [(0, v) for v in range(1, 6)]), 0),  # star K_{1,5}
+        (Graph.from_edges(7, [(6, v) for v in range(6)]), 0),  # star, centre last
+        (Graph.from_edges(4, [(1, 2), (1, 3)]), 0),  # star K_{1,2} and an isolated vertex
+    ],
+)
+def test_grouped_diagonal_on_twin_classes(g, expected):
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    for h in (g, relabel(g, perm)):
+        adj = _dense_adjacency(h)
+        assert _diagonal_raw(adj) == reference_diagonal_raw(adj) == 2 * expected
+        assert count_induced_c4_diagonal(h).value == brute_force_c4_count(h) == expected
+
+
+def _row_classes(g: Graph) -> list[list[int]]:
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(g.rows):
+        classes.setdefault(row, []).append(v)
+    return sorted(classes.values())
+
+
+def test_neighbourhood_classes_keep_the_smallest_id():
+    for g in _planted_twin_graphs():
+        reps, size = _neighbourhood_classes(_dense_adjacency(g))
+        classes = _row_classes(g)
+        assert reps.tolist() == [ids[0] for ids in classes]
+        assert {r: int(size[r]) for r in reps.tolist()} == {ids[0]: len(ids) for ids in classes}
+        assert size.sum() == g.n
+
+
+def test_diagonal_work_counters():
+    # one product row per later class u does not see, plus u's own row when
+    # its class has two or more members, for every u with two neighbours
+    for g in _planted_twin_graphs():
+        classes = _row_classes(g)
+        reps = [ids[0] for ids in classes]
+        rows = 0
+        for i, ids in enumerate(classes):
+            row = g.rows[ids[0]]
+            if row.bit_count() >= 2:
+                rows += sum(1 for v in reps[i + 1 :] if not (row >> v) & 1) + (len(ids) > 1)
+        assert count_induced_c4_diagonal(g).work == {"neighbourhoods": len(classes), "rows": rows}
+        if len(classes) == g.n:
+            # twin-free: a row per non-edge {u, v > u} with deg(u) >= 2, as per vertex
+            assert rows == sum(
+                1
+                for u, v in combinations(range(g.n), 2)
+                if g.rows[u].bit_count() >= 2 and not (g.rows[u] >> v) & 1
+            )
+    assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5}
+    assert count_induced_c4_enum(cycle_graph(3)).work == {"subsets": 0}
+
+
 def test_odd_raw_sum_raises(monkeypatch):
-    monkeypatch.setattr(counting, "_diagonal_raw_sum", lambda g: 3)
+    monkeypatch.setattr(counting, "_diagonal_raw_sum", lambda g, work: 3)
     with pytest.raises(CountParityError, match="odd"):
         count_induced_c4_diagonal(cycle_graph(4))
 

@@ -98,6 +98,29 @@ def test_meta_records_cores_and_blas():
     assert "cpu_count" not in json.dumps(report.comparable_dict())
 
 
+def test_work_counters_round_trip_outside_the_substance():
+    report = build_report(_config())
+    # c4 L1: 8 classes of 2 false twins; each class is multiplied against its
+    # own row and, in copies 0 and 1, against the two classes of the copy
+    # opposite
+    assert report.levels[1].work == {
+        "enum": {"subsets": 1820},
+        "diagonal": {"neighbourhoods": 8, "rows": 16},
+    }
+    assert VerificationReport.from_json(report.to_json()) == report
+    other = build_report(_config())
+    other.levels[1].work["diagonal"]["rows"] = -1
+    assert other.comparable_dict() == report.comparable_dict()
+    assert "neighbourhoods" not in json.dumps(report.comparable_dict())
+    # a report written before the counters existed still reads, with none
+    old = report.to_json_dict()
+    for rec in old["levels"]:
+        del rec["work"]
+    restored = VerificationReport.from_json_dict(old)
+    assert [rec.work for rec in restored.levels] == [{}, {}]
+    assert restored.comparable_dict() == report.comparable_dict()
+
+
 def test_determinism_modulo_timings():
     a = build_report(_config())
     b = build_report(_config())
@@ -116,6 +139,7 @@ def test_subset_cap_marks_skipped():
     report = build_report(_config(subset_cap=100))
     rec = report.levels[1]  # C(16, 4) = 1820 > 100
     assert rec.T_enum == SKIPPED_CAP
+    assert set(rec.work) == {"diagonal"}
     assert rec.match_flags["enum_vs_diagonal"] == SKIPPED_CAP
     assert rec.match_flags["enum_vs_recurrence"] == SKIPPED_CAP
     # the diagonal side still ran and still verifies
