@@ -12,12 +12,15 @@ Two deliberately independent algorithms, each exact:
   non-adjacent pairs inside N(u) & N(v), then halves.  An induced 4-cycle has
   exactly two non-adjacent diagonal pairs, so it is counted once per diagonal
   and the raw sum is always even.  The summand depends only on the rows of
-  u and v, so vertices with equal rows form one class, and one float32
-  matrix product per distinct neighbourhood covers the non-edges of its
-  class with the later classes and within itself, each product row weighted
-  by the number of non-edges it stands for.  The products are exact below
-  2**24 vertices (see ``_diagonal_raw_sum``).  The method reads only the
-  built graph and uses no blow-up identity.
+  u and v, and vertices with equal rows (false twins) have equal columns
+  too, so the method works on the quotient: one vertex per class of equal
+  rows, each weighted by its class size.  One float32 matrix product per
+  class, on the class columns of its neighbourhood, covers the non-edges of
+  the class with the later classes and within itself, each product row
+  weighted by the number of non-edges it stands for.  The products are
+  exact below 2**24 vertices, and the size-weighted step after them runs in
+  float64 (see ``_diagonal_raw_sum``).  The method reads only the built
+  graph and uses no blow-up identity.
 
 The two share nothing but the packed rows of ``graphs._packed_rows``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
@@ -85,8 +88,8 @@ class Method(str, Enum):
 @dataclass(frozen=True)
 class CountResult:
     """A count with its wall time and work counters: ``subsets`` scanned for
-    enumeration; distinct ``neighbourhoods`` and X ``rows`` multiplied for
-    the diagonal method."""
+    enumeration; distinct ``neighbourhoods``, product ``rows`` and class
+    ``columns`` multiplied (summed over products) for the diagonal method."""
 
     value: int
     method: Method
@@ -243,98 +246,116 @@ def count_induced_c4_enum(
 # ---------------------------------------------------------------------------
 #
 # For a fixed u, every non-edge {u, v} with v > u has common neighbourhood
-# S_v inside N(u).  With X the 0/1 rows of those v restricted to the columns
-# N(u), and A_u the adjacency matrix restricted to N(u), row v of X @ A_u
-# holds |N(w) & S_v| for each w in N(u); masking it with X and summing gives
-# twice the number of edges inside S_v.  One matmul per u covers all of its
-# non-edges {u, v > u}.
+# S_v inside N(u), and its summand C(|S_v|, 2) - e(S_v) depends only on the
+# rows N(u) and N(v).  Vertices with equal rows (false twins) are therefore
+# grouped into classes, and only the smallest id of each class, its
+# representative, is looped over.  Two vertices with equal rows are never
+# adjacent (u in N(v) = N(u) would be a self-loop), so every pair inside a
+# class of size m is a non-edge, C(m, 2) of them with S = N(u).  Two classes
+# are all adjacent or all not: v in N(u) puts v in the equal row of every
+# member of u's class.  The rows of one class being equal, so are its
+# columns, and the graph is the k x k quotient Q on the representatives,
+# each standing for the m_c vertices of its class.
 #
-# The summand of a non-edge {u, v} depends only on the rows N(u) and N(v),
-# so vertices with equal rows (false twins) are grouped into classes and
-# only the smallest id of each class, its representative, is looped over.
-# Two vertices with equal rows are never adjacent (u in N(v) = N(u) would
-# be a self-loop), so every pair inside a class of size m is a non-edge,
-# C(m, 2) of them with S = N(u).  Two classes are all adjacent or all not:
-# v in N(u) puts v in the equal row of every member of u's class.  So the
-# X rows of a representative u are the later representatives v it does not
-# see, each standing for m_u * m_v non-edges, plus u's own row, standing
-# for C(m_u, 2), when m_u > 1.  In a twin-free graph every class is a
+# For a representative u, the product rows are the later classes v it does
+# not see, each standing for m_u * m_v non-edges, and u's own class, standing
+# for C(m_u, 2), when m_u > 1.  Y holds those rows of Q restricted to the
+# classes of N(u), column c scaled by m_c, so row v of Y is S_v by class and
+# sums to |S_v|.  Row v of Y @ Q[N(u), N(u)] holds |N(w) & S_v| for a w in
+# each class c' of N(u), and its sum weighted by row v of Y is 2 e(S_v); a
+# column of ones appended to Q[N(u), N(u)] gives |S_v| from the same product.
+# One product per representative covers all of its class's non-edges to
+# later classes and inside the class.  In a twin-free graph every class is a
 # single vertex and this is the per-vertex loop with every weight 1.
 
 # float32 represents every integer below 2**24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
 
 
-def _dense_adjacency(g: Graph) -> np.ndarray:
-    """Adjacency as an (n, n) uint8 0/1 matrix."""
-    return np.unpackbits(_packed_rows(g.n, g.rows), axis=1, count=g.n, bitorder="little")
-
-
-def _neighbourhood_classes(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices grouped by equal rows: the representatives (smallest id of
-    each class) in ascending order, and the class size indexed by
-    representative.  Rows are hashed packed, never sorted."""
-    keys = map(bytes, np.packbits(adj, axis=1))
+def _twin_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices grouped by equal packed rows: the representatives (smallest
+    id of each class) in ascending order, and the class sizes in the same
+    order.  Rows are hashed, never sorted or unpacked."""
     first: dict[bytes, int] = {}
-    label = [first.setdefault(key, v) for v, key in enumerate(keys)]
-    return np.fromiter(first.values(), dtype=np.intp), np.bincount(label, minlength=len(adj))
+    label = [first.setdefault(key, v) for v, key in enumerate(map(bytes, packed))]
+    reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return reps, np.bincount(label, minlength=len(packed)).take(reps)
 
 
-def _diagonal_raw(adj: np.ndarray, work: dict[str, int] | None = None) -> int:
+def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int:
     """Sum over non-edges {u, v} of the non-adjacent pairs in N(u) & N(v),
-    computed per representative u as the weighted sum of
-    C(s_v, 2) - (1/2) * rowsum_v((X @ A_u) * X).
+    from the packed (n, ceil(n/8)) rows, computed per representative u as
+    the weighted sum of C(s_v, 2) - e(S_v) over its product rows.
 
-    ``work``, when given, receives the number of distinct neighbourhoods
-    and of X rows multiplied."""
-    reps, size = _neighbourhood_classes(adj)
-    raw = rows = 0
-    for i, u in enumerate(reps.tolist()):
-        row = adj[u]
-        nbrs = np.flatnonzero(row)
-        if len(nbrs) < 2:
+    ``work``, when given, receives the number of distinct neighbourhoods,
+    of product rows and of class columns multiplied."""
+    reps, size = _twin_classes(packed)
+    k = len(reps)
+    rep_rows = packed.take(reps, 0)
+    # adj[i, j]: representative i sees representative j.  The last column is
+    # all ones, so that each product also sums its rows.
+    adj = np.ones((k, k + 1), dtype=bool)
+    adj[:, :k] = rep_rows.take(reps >> 3, 1) >> (reps & 7).astype(np.uint8) & 1
+    ones = adj.astype(np.float32)
+    weighted = ones * np.append(size, 1).astype(np.float32) if k < len(packed) else ones
+    # far[i]: the later classes i does not see, and i itself when it has twins
+    far = np.triu(~adj[:, :k])
+    far.flat[:: k + 1] = size > 1
+    degree = np.bitwise_count(rep_rows).sum(axis=1, dtype=np.int64)
+    doubled = rows = columns = 0
+    for i, (m, deg) in enumerate(zip(size.tolist(), degree.tolist())):
+        if deg < 2:
             continue
-        later = reps[i + 1 :]
-        far = later[row.take(later) == 0]
-        m = int(size[u])
-        weights = (size.take(far) * m).tolist()
+        far_i = far[i].nonzero()[0]
+        if not len(far_i):
+            continue
+        weights = (size.take(far_i) * m).tolist()
         if m > 1:
-            far = np.append(far, u)
-            weights.append(comb(m, 2))
-        if not len(far):
-            continue
-        common = adj[far][:, nbrs].astype(np.float32)
-        paths = common @ adj[nbrs][:, nbrs].astype(np.float32)
-        sizes = common.sum(axis=1, dtype=np.int64)
-        twice_edges = (paths * common).sum(axis=1, dtype=np.int64)
-        if (twice_edges & 1).any():
+            weights[0] = comb(m, 2)  # i itself comes first
+        cols = adj[i].nonzero()[0]  # N(u) by class, then the ones column
+        nbrs = cols[:-1]
+        y = weighted.take(far_i, 0).take(nbrs, 1)
+        paths = y @ ones.take(nbrs, 0).take(cols, 1)
+        s = paths[:, -1]  # |S_v|
+        twice_edges = np.einsum("ij,ij->i", paths[:, :-1], y, dtype=np.float64)
+        # twice the non-adjacent pairs in each S_v: |S_v| (|S_v| - 1) - 2 e(S_v)
+        pairs = (np.multiply(s, s - 1, dtype=np.float64) - twice_edges).astype(np.int64)
+        pairs = pairs.tolist()
+        if any(p & 1 for p in pairs):
             raise CountParityError("handshake parity violated: adjacency is not symmetric")
-        raw += sum(map(mul, weights, (sizes * (sizes - 1) // 2 - twice_edges // 2).tolist()))
-        rows += len(far)
+        doubled += sum(map(mul, weights, pairs))
+        rows += len(far_i)
+        columns += len(nbrs)
     if work is not None:
-        work.update(neighbourhoods=len(reps), rows=rows)
-    return raw
+        work.update(neighbourhoods=k, rows=rows, columns=columns)
+    return doubled // 2
 
 
 def _diagonal_raw_sum(g: Graph, work: dict[str, int] | None = None) -> int:
     """Raw diagonal sum, before halving; even for every simple graph.
 
-    The matrix products run in float32.  Entry (v, w) of X @ A_u is
-    |N(w) & S_v| <= deg(u) < n, and it is reached through partial sums of
-    0/1 products that never exceed it; masking by X keeps the same bound.
-    While n < 2**24 each of these values is an integer that float32
-    represents exactly, so larger graphs are refused before any matrix is
-    allocated.  Row sums and C(s, 2) terms are reduced in int64 (each below
-    2**48).  A row's weight, m_u * m_v or C(m_u, 2) non-edges, is below
-    n**2 <= 2**48, so a weighted term could overflow int64: the weights
-    multiply and add up as Python ints.
+    The matrix products run in float32.  Y's entries are class sizes m_c and
+    Q is 0/1, so entry (v, c') of Y @ Q[N(u), N(u)] is |N(w) & S_v| <= deg(u)
+    < n, and the ones column gives |S_v| <= deg(u); both are reached through
+    partial sums of non-negative integers that never exceed them.  While
+    n < 2**24 each of these values is an integer that float32 represents
+    exactly, so larger graphs are refused before any matrix is allocated.
+    The weighted step sum_c' paths * Y is not: a single product
+    |N(w) & S_v| * m_c' can reach deg(u)**2 / 4 (w's class is outside N(w),
+    so the two factors sum to at most |S_v|), above 2**24 once deg(u) > 2**13.
+    It runs in float64, where every product, partial sum and the result
+    2 e(S_v) <= deg(u)**2 < 2**48 is an integer below 2**53, so exact; so are
+    |S_v| (|S_v| - 1) < 2**48 and the difference, converted to int64.  A
+    row's weight, m_u * m_v or C(m_u, 2) non-edges, is below n**2 <= 2**48,
+    so a weighted term could overflow int64: the weights multiply and add up
+    as Python ints.
     """
     if g.n >= FLOAT32_EXACT_LIMIT:
         raise VertexCapExceeded(
             f"the diagonal counter is exact only below {FLOAT32_EXACT_LIMIT} "
             f"(2**24) vertices, got {g.n}"
         )
-    return _diagonal_raw(_dense_adjacency(g), work)
+    return _diagonal_raw(_packed_rows(g.n, g.rows), work)
 
 
 def count_induced_c4_diagonal(g: Graph) -> CountResult:

@@ -1,8 +1,8 @@
 """Shared test utilities: a seeded random-graph model, a deliberately naive
 induced-4-cycle oracle and a per-line edge-list parser, both sharing no code
 with the package beyond the Graph type, the per-vertex diagonal sum the
-package's grouped one must equal, and small adjacency queries on a Graph's
-rows."""
+package's quotient one must equal, substitution of unequal blobs, and small
+adjacency queries on a Graph's rows."""
 
 from __future__ import annotations
 
@@ -55,6 +55,29 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
         rows[pu] |= 1 << pv
         rows[pv] |= 1 << pu
     return Graph(g.n, tuple(rows))
+
+
+def substitute(q: Graph, blobs: list[Graph]) -> Graph:
+    """The substitution q[blobs[0], ..., blobs[k-1]]: vertex i of q becomes a
+    copy of blobs[i], and two copies are joined completely iff their vertices
+    are adjacent in q.  compose(q, h) is the case of k equal blobs."""
+    if len(blobs) != q.n:
+        raise ValueError("one blob per vertex of q")
+    starts = [0]
+    for blob in blobs:
+        starts.append(starts[-1] + blob.n)
+    edges = [(starts[i] + a, starts[i] + b) for i, blob in enumerate(blobs) for a, b in blob.edges()]
+    for i, j in q.edges():
+        edges += [(a, b) for a in range(starts[i], starts[i + 1]) for b in range(starts[j], starts[j + 1])]
+    return Graph.from_edges(starts[-1], edges)
+
+
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """Adjacency as an (n, n) uint8 0/1 matrix, for the reference diagonal sum."""
+    adj = np.zeros((g.n, g.n), dtype=np.uint8)
+    for u, v in g.edges():
+        adj[u, v] = adj[v, u] = 1
+    return adj
 
 
 def brute_force_c4_count(g: Graph) -> int:

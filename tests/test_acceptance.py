@@ -325,7 +325,8 @@ def test_criterion_12_theta_level_three_both_counters():
 
 def test_criterion_13_theta_level_four_diagonal():
     # theta L4 has 3125 vertices in 1250 classes of equal rows; the diagonal
-    # counter multiplies once per class, which brings it inside the budget
+    # counter multiplies once per class, on the class columns of the quotient,
+    # which brings it inside the budget
     expected = 774665211375
     assert theta_recurrence_T(4) == theta_closed_T(4, Variant.DERIVED) == expected
 
@@ -337,6 +338,6 @@ def test_criterion_13_theta_level_four_diagonal():
     _report(
         13,
         f"diagonal on 3125 vertices ({diag.work['neighbourhoods']} distinct "
-        f"neighbourhoods) {diag.value} == recurrence == derived in "
-        f"{diag.elapsed:.1f}s < 60s",
+        f"neighbourhoods, {diag.work['columns']} class columns multiplied) "
+        f"{diag.value} == recurrence == derived in {diag.elapsed:.1f}s < 60s",
     )

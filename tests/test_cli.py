@@ -88,7 +88,7 @@ def test_count_json_record(tmp_path, capsys):
     }
     assert {r["method"]: r["work"] for r in record["results"]} == {
         "enum": {"subsets": 1820},
-        "diagonal": {"neighbourhoods": 8, "rows": 16},
+        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 40},
     }
     assert json.loads(capsys.readouterr().out) == record
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import combinations
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,15 +33,16 @@ from blowup_census import (
     theta_222,
 )
 from blowup_census import counting
-from blowup_census.counting import (
-    _dense_adjacency,
-    _diagonal_raw,
-    _diagonal_raw_sum,
-    _neighbourhood_classes,
-    _pool_size,
-)
+from blowup_census.counting import _diagonal_raw, _diagonal_raw_sum, _pool_size, _twin_classes
 from blowup_census.graphs import _packed_rows
-from helpers import brute_force_c4_count, random_graph, reference_diagonal_raw, relabel
+from helpers import (
+    brute_force_c4_count,
+    dense_adjacency,
+    random_graph,
+    reference_diagonal_raw,
+    relabel,
+    substitute,
+)
 
 
 def test_c4_base_counts():
@@ -242,7 +244,10 @@ def _planted_twin_graphs() -> list[Graph]:
     """Seeded graphs full of twins, each also relabelled so that no class of
     equal rows is consecutive: false twins from compose(G, empty_k) and
     compose(H, G), true twins (adjacent, rows equal but for each other) from
-    compose(G, K_k), isolated vertices appended, and twin-free graphs."""
+    compose(G, K_k), isolated vertices appended, classes of sizes 2 and 3
+    side by side from compose(G, K_{2,3}), classes of unequal sizes inside
+    one neighbourhood from substitutions of unequal empty, complete and
+    random blobs, and twin-free graphs."""
     rng = random.Random("planted-twins")
     graphs = []
     for _ in range(24):
@@ -250,28 +255,51 @@ def _planted_twin_graphs() -> list[Graph]:
         h = random_graph(rng.randint(1, 5), rng.uniform(0.1, 0.9), rng.randrange(10**9))
         k = rng.randint(2, 4)
         loose = Graph(g.n + k, g.rows + (0,) * k)
-        for x in (compose(g, empty_graph(k)), compose(g, complete_graph(k)), compose(h, g), loose):
+        blobs = [
+            rng.choice((empty_graph, complete_graph))(rng.randint(1, 4))
+            if rng.random() < 0.7
+            else random_graph(rng.randint(1, 4), 0.5, rng.randrange(10**9))
+            for _ in range(g.n)
+        ]
+        for x in (
+            compose(g, empty_graph(k)),
+            compose(g, complete_graph(k)),
+            compose(h, g),
+            loose,
+            compose(g, theta_222()),
+            substitute(g, blobs),
+            substitute(g, [empty_graph(rng.randint(1, 5)) for _ in range(g.n)]),
+        ):
             perm = list(range(x.n))
             rng.shuffle(perm)
             graphs += [x, relabel(x, perm)]
-    while len(graphs) < 220:
+    while len(graphs) < 380:
         g = random_graph(rng.randint(4, 30), rng.uniform(0.1, 0.9), rng.randrange(10**9))
         if len(set(g.rows)) == g.n:
             graphs.append(g)
     return graphs
 
 
+def _unequal_classes(g: Graph) -> bool:
+    """Some neighbourhood holds two classes of equal rows of unequal sizes."""
+    size = {row: list(g.rows).count(row) for row in g.rows}
+    return any(
+        len({size[g.rows[w]] for w in range(g.n) if (row >> w) & 1}) > 1 for row in g.rows
+    )
+
+
 def test_grouped_diagonal_matches_per_vertex_reference():
     graphs = _planted_twin_graphs()
-    grouped = 0
+    grouped = unequal = 0
     for g in graphs:
-        adj = _dense_adjacency(g)
-        raw = _diagonal_raw(adj)
-        assert raw == reference_diagonal_raw(adj), f"n={g.n} rows={g.rows}"
+        raw = _diagonal_raw(_packed_rows(g.n, g.rows))
+        assert raw == reference_diagonal_raw(dense_adjacency(g)), f"n={g.n} rows={g.rows}"
         if g.n <= 14:
             assert raw // 2 == count_induced_c4_diagonal(g).value == brute_force_c4_count(g)
         grouped += len(set(g.rows)) < g.n
-    assert grouped >= 100
+        unequal += _unequal_classes(g)
+    assert grouped >= 200
+    assert unequal >= 100
 
 
 @pytest.mark.parametrize(
@@ -289,8 +317,8 @@ def test_grouped_diagonal_on_twin_classes(g, expected):
     perm = list(range(g.n))
     random.Random(g.n).shuffle(perm)
     for h in (g, relabel(g, perm)):
-        adj = _dense_adjacency(h)
-        assert _diagonal_raw(adj) == reference_diagonal_raw(adj) == 2 * expected
+        raw = _diagonal_raw(_packed_rows(h.n, h.rows))
+        assert raw == reference_diagonal_raw(dense_adjacency(h)) == 2 * expected
         assert count_induced_c4_diagonal(h).value == brute_force_c4_count(h) == expected
 
 
@@ -303,32 +331,44 @@ def _row_classes(g: Graph) -> list[list[int]]:
 
 def test_neighbourhood_classes_keep_the_smallest_id():
     for g in _planted_twin_graphs():
-        reps, size = _neighbourhood_classes(_dense_adjacency(g))
+        reps, size = _twin_classes(_packed_rows(g.n, g.rows))
         classes = _row_classes(g)
         assert reps.tolist() == [ids[0] for ids in classes]
-        assert {r: int(size[r]) for r in reps.tolist()} == {ids[0]: len(ids) for ids in classes}
+        assert dict(zip(reps.tolist(), size.tolist())) == {ids[0]: len(ids) for ids in classes}
         assert size.sum() == g.n
 
 
 def test_diagonal_work_counters():
     # one product row per later class u does not see, plus u's own row when
-    # its class has two or more members, for every u with two neighbours
+    # its class has two or more members, and one column per class of N(u),
+    # for every u with two neighbours
     for g in _planted_twin_graphs():
         classes = _row_classes(g)
         reps = [ids[0] for ids in classes]
-        rows = 0
+        rows = columns = 0
         for i, ids in enumerate(classes):
             row = g.rows[ids[0]]
-            if row.bit_count() >= 2:
-                rows += sum(1 for v in reps[i + 1 :] if not (row >> v) & 1) + (len(ids) > 1)
-        assert count_induced_c4_diagonal(g).work == {"neighbourhoods": len(classes), "rows": rows}
+            if row.bit_count() < 2:
+                continue
+            product = sum(1 for v in reps[i + 1 :] if not (row >> v) & 1) + (len(ids) > 1)
+            rows += product
+            columns += sum(1 for c in reps if (row >> c) & 1) if product else 0
+        assert count_induced_c4_diagonal(g).work == {
+            "neighbourhoods": len(classes),
+            "rows": rows,
+            "columns": columns,
+        }
         if len(classes) == g.n:
-            # twin-free: a row per non-edge {u, v > u} with deg(u) >= 2, as per vertex
-            assert rows == sum(
-                1
-                for u, v in combinations(range(g.n), 2)
-                if g.rows[u].bit_count() >= 2 and not (g.rows[u] >> v) & 1
-            )
+            # twin-free: a row per non-edge {u, v > u} with deg(u) >= 2, as
+            # per vertex, and deg(u) columns for every u that gets a product
+            far = [
+                [v for v in range(u + 1, g.n) if not (g.rows[u] >> v) & 1]
+                if g.rows[u].bit_count() >= 2
+                else []
+                for u in range(g.n)
+            ]
+            assert rows == sum(map(len, far))
+            assert columns == sum(g.rows[u].bit_count() for u in range(g.n) if far[u])
     assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5}
     assert count_induced_c4_enum(cycle_graph(3)).work == {"subsets": 0}
 
@@ -344,10 +384,23 @@ def test_asymmetric_adjacency_breaks_handshake_parity():
     adj = np.zeros((4, 4), dtype=np.uint8)
     for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
         adj[a, b] = adj[b, a] = 1
-    assert _diagonal_raw(adj) == 2
+    assert _diagonal_raw(np.packbits(adj, axis=1, bitorder="little")) == 2
     adj[1, 2] = 1
     with pytest.raises(CountParityError, match="handshake"):
-        _diagonal_raw(adj)
+        _diagonal_raw(np.packbits(adj, axis=1, bitorder="little"))
+
+
+def test_weighted_step_is_exact_beyond_float32():
+    # K_{4097,4097,4097}: three classes of 4097 false twins.  A vertex has
+    # degree 8194, and a product |N(w) & S_v| * m_c' = 4097 * 4097 of the
+    # weighted step is above 2**24, where float32 would round it.  Every
+    # induced C4 takes two vertices from each of two parts.
+    part = 4097
+    full = (1 << 3 * part) - 1
+    rows = tuple(full ^ (((1 << part) - 1) << part * (v // part)) for v in range(3 * part))
+    result = count_induced_c4_diagonal(Graph(3 * part, rows))
+    assert result.value == 3 * comb(part, 2) ** 2 == 211209324331008
+    assert result.work == {"neighbourhoods": 3, "rows": 3, "columns": 6}
 
 
 def test_float32_exactness_guard_refuses_before_allocating():

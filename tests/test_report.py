@@ -102,10 +102,11 @@ def test_work_counters_round_trip_outside_the_substance():
     report = build_report(_config())
     # c4 L1: 8 classes of 2 false twins; each class is multiplied against its
     # own row and, in copies 0 and 1, against the two classes of the copy
-    # opposite
+    # opposite, on the 5 classes of its neighbourhood (one in its own copy,
+    # two in each adjacent copy)
     assert report.levels[1].work == {
         "enum": {"subsets": 1820},
-        "diagonal": {"neighbourhoods": 8, "rows": 16},
+        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 40},
     }
     assert VerificationReport.from_json(report.to_json()) == report
     other = build_report(_config())
