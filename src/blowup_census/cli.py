@@ -186,7 +186,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_generate(args) -> int:
     spec = _resolve_spec(args)
     g = nested_blowup(spec, vertex_cap=args.vertex_cap)
-    with open(args.out, "w", encoding="ascii") as fh:
+    with open(args.out, "wb") as fh:
         fh.writelines(_edge_list_chunks(g))
     print(f"{spec.family.value} level {spec.level}: {g.n} vertices, {g.edge_count} edges -> {args.out}")
     return 0

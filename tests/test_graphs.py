@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -556,14 +558,52 @@ def _reference_edge_list(g: Graph) -> str:
     return "\n".join([str(g.n)] + [f"{u} {v}" for u, v in g.edges()]) + "\n"
 
 
+def _numpy_random_graph(n: int, p: float, seed: int) -> Graph:
+    """Seeded G(n, p) drawn with numpy, quick enough for n in the thousands."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    return Graph(n, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+
+
+def _with_isolated(g: Graph, n: int) -> Graph:
+    """g with isolated vertices g.n, ..., n - 1 appended."""
+    return Graph(n, g.rows + (0,) * (n - g.n))
+
+
 def test_write_edge_list_matches_reference_random():
     rng = random.Random(2024)
-    for seed in range(60):
-        g = random_graph(rng.randint(0, 60), rng.random(), seed)
-        assert write_edge_list(g) == _reference_edge_list(g)
+    cases = [random_graph(rng.randint(0, 60), rng.random(), seed) for seed in range(60)]
     for n in (0, 1, 8, 9):
-        assert write_edge_list(empty_graph(n)) == _reference_edge_list(empty_graph(n))
-        assert write_edge_list(complete_graph(n)) == _reference_edge_list(complete_graph(n))
+        cases += [empty_graph(n), complete_graph(n)]
+    # the id width grows at n = 11, 101 and 1001, and from n = 257 on the
+    # writer splits the rows into several stripes
+    for n in (9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1025):
+        cases += [_numpy_random_graph(n, p, n) for p in (0.002, 0.05, 0.5)]
+        cases += [empty_graph(n), complete_graph(n)]
+        # a star has no edge above the diagonal after row 0, so every later
+        # stripe is empty; the padded graphs end in isolated vertices
+        cases.append(Graph.from_edges(n, [(0, v) for v in range(1, n)]))
+        cases.append(_with_isolated(_numpy_random_graph(n // 3, 0.5, n), n))
+        cases.append(_with_isolated(_numpy_random_graph(n - 1, 0.05, n), n))
+    for g in cases:
+        text = write_edge_list(g)
+        assert text == _reference_edge_list(g), g
+        assert read_edge_list(text) == g
+
+
+def test_edge_list_chunks_stream_in_bounded_memory():
+    # theta L4's text is 27 MB; the writer holds one row stripe at a time
+    g = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    size = len(f"{g.n}\n") + 2 * g.edge_count
+    size += sum(row.bit_count() * len(str(u)) for u, row in enumerate(g.rows))
+    tracemalloc.start()
+    try:
+        written = sum(len(chunk) for chunk in graphs_module._edge_list_chunks(g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written == size
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("family", [Family.C4, Family.THETA222])
