@@ -23,7 +23,7 @@ from .counting import (
     count_induced_c4_diagonal,
     count_induced_c4_enum,
 )
-from .formulas import FORMULA_LEVEL_CAP, FORMULAS, Rational, Variant
+from .formulas import FORMULA_LEVEL_CAP, FORMULAS, Rational, Variant, blowup_levels
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     BlowupSpec,
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("formula", help="tabulate the exact formulas per level")
-    p.add_argument("--family", choices=["c4", "theta222"], required=True)
+    p.add_argument("--family", choices=list(FORMULAS), required=True)
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--variant", choices=["stated", "derived", "both"], default="both")
     p.add_argument("--format", choices=["text", "csv"], default="text")
@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sequence", help="CSV of per-level counts from the formulas")
-    p.add_argument("--family", choices=["c4", "theta222"], required=True)
+    p.add_argument("--family", choices=list(FORMULAS), required=True)
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_sequence)
@@ -250,16 +250,11 @@ def _formula_rows(family: str, max_level: int, variants: list[Variant]):
     if len(variants) == 2:
         header.append("variants_agree")
     rows = [header]
-    for n in range(max_level + 1):
-        sums = bundle.partial_sums(n)
-        cells = [
-            str(n),
-            str(bundle.base_order ** (n + 1)),
-            str(bundle.nonedges_closed(n)),
-        ]
-        for pair in sums:
+    for n, level in enumerate(blowup_levels(bundle.base, max_level)):
+        cells = [str(n), str(level.n), str(level.m)]
+        for pair in bundle.partial_sums(n):
             cells.append(str(pair.summation) if pair.agree else f"{pair.summation}!={pair.closed}")
-        cells.append(str(bundle.recurrence_T(n)))
+        cells.append(str(level.T))
         values = [bundle.closed_T(n, v) for v in variants]
         for v in values:
             cells.append(str(v) + (" (non-integer)" if isinstance(v, Rational) else ""))
@@ -318,20 +313,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sequence(args) -> int:
     _check_formula_level(args.max_level)
-    bundle = FORMULAS[args.family]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["N", "vertices", "edges", "non_edges", "induced_c4"])
-    for n in range(args.max_level + 1):
-        writer.writerow(
-            [
-                n,
-                bundle.base_order ** (n + 1),
-                bundle.edges_closed(n),
-                bundle.nonedges_closed(n),
-                bundle.recurrence_T(n),
-            ]
-        )
+    for n, level in enumerate(blowup_levels(FORMULAS[args.family].base, args.max_level)):
+        writer.writerow([n, level.n, level.edges, level.m, level.T])
     _write_text(args.out, buf.getvalue())
     return 0
 

@@ -1,28 +1,39 @@
 """Exact integer formulas for induced 4-cycle counts in nested blow-ups.
 
-Everything here is a pure function of the level N, evaluated over Python's
-arbitrary-precision integers (counts grow like 4^(4N)).  For each base family
-(the 4-cycle and the theta graph with three length-2 spokes) the module
-provides:
+Everything here is evaluated over Python's arbitrary-precision integers
+(counts grow like n^(4N)).
 
-* closed forms for the non-edge count m_N and edge count of level N;
-* the level recurrence for the induced-4-cycle count T_N, with its per-term
-  breakdown;
+One composition rule gives the sizes and the induced-4-cycle count of every
+level, for any base graph.  An induced 4-cycle of H[K] has its vertices in
+the blobs (copies of K) in one of four ways: all four in one blob; four in
+distinct blobs; 2+2 in two adjacent blobs, each pair a non-edge of K; or
+2+1+1, the pair a non-edge of K in a blob whose two neighbouring blobs are
+not adjacent.  No other split is possible: three vertices in one blob, or
+two that are neighbours on the cycle, would need an outside vertex that
+sees some of the blob but not all.  With n vertices, m non-edges, e edges,
+T induced 4-cycles and P the sum over vertices i of the non-adjacent pairs
+in N(i):
+
+    T(H[K]) = n_H*T_K + T_H*n_K^4 + P_H*m_K*n_K^2 + e_H*m_K^2
+    m(H[K]) = n_H*m_K + m_H*n_K^2
+
+Level N of the nested blow-up is G_N = H[G_{N-1}] with G_0 = H, so the
+invariants of H (``base_invariants``) are all the rule needs, and
+``blowup_levels`` iterates it.  The 4-cycle has (n, m, T, e, P) =
+(4, 2, 1, 4, 4) and the theta graph (5, 4, 3, 6, 9): the coefficients of the
+paper's two recurrences.
+
+For the two named families the module also keeps the paper's claims under
+test, hand-typed and independent of the rule:
+
 * the Q/R/S partial sums of the unrolled recurrence, each in two
-  independently evaluated shapes (literal summation and geometric-sum closed
-  form) so transcription errors are observable;
+  independently evaluated shapes (literal summation over the rule's
+  non-edge sequence, and geometric-sum closed form) so transcription errors
+  are observable;
 * the final closed form for T_N in two coefficient variants, "stated" and
   "derived", which disagree.  Both are evaluated verbatim over exact
   rationals; a non-integer result is returned as data, not raised, so the
   discrepancy can be reported instead of being hidden by a crash.
-
-4-cycle family (m_N = 4^(N+1) * (4^(N+1) - 1) / 6, T_0 = 1):
-
-    T_N = 4*T_{N-1} + (4^N)^4 + 4*m_{N-1}*(4^N)^2 + 4*m_{N-1}^2
-
-theta family (m_N = 5^N * (5^(N+1) - 1), T_0 = 3, blob order 5^N):
-
-    T_N = 5*T_{N-1} + 3*(5^N)^4 + 6*m_{N-1}^2 + 9*m_{N-1}*(5^N)^2
 """
 
 from __future__ import annotations
@@ -30,31 +41,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple, Union
+
+from .counting import count_induced_c4_diagonal
+from .graphs import Family, Graph, _named_base
 
 __all__ = [
     "FORMULA_LEVEL_CAP",
     "FORMULAS",
+    "BaseInvariants",
     "FamilyFormulas",
+    "LevelCounts",
     "PartialSums",
     "Rational",
     "SumPair",
     "TermBreakdown",
     "Variant",
+    "base_invariants",
+    "blowup_levels",
     "c4_closed_T",
-    "c4_edges_closed",
-    "c4_nonedges_binomial",
-    "c4_nonedges_closed",
     "c4_partial_sums",
-    "c4_recurrence_T",
-    "c4_recurrence_breakdown",
+    "compose_counts",
     "theta_closed_T",
-    "theta_edges_closed",
-    "theta_nonedges_closed",
     "theta_partial_sums",
-    "theta_recurrence_T",
-    "theta_recurrence_breakdown",
 ]
 
 # Pure-formula checks sweep levels 0..30; values there are ~4^124, still cheap
@@ -104,69 +115,39 @@ def _int_or_rational(num: int, den: int) -> ClosedValue:
 
 
 # ---------------------------------------------------------------------------
-# Non-edge and edge closed forms
+# The composition rule
 # ---------------------------------------------------------------------------
 
 
-def c4_nonedges_closed(N: int) -> int:
-    """m_N for the 4-cycle family: 4^(N+1) * (4^(N+1) - 1) / 6.
+class BaseInvariants(NamedTuple):
+    """What the composition rule needs of the outer graph H of H[K]."""
 
-    Also evaluates the equivalent binomial-minus-sum shape and insists the
-    two agree.
+    n: int  # vertices
+    m: int  # non-edges
+    T: int  # induced 4-cycles
+    e: int  # edges
+    P: int  # sum over vertices i of the non-adjacent pairs in N(i)
+
+
+def base_invariants(g: Graph) -> BaseInvariants:
+    """(n, m, T, e, P) of g; T from the diagonal counter.
+
+    P = sum_i C(deg i, 2) - sum_i e(N(i)), and sum_i e(N(i)) is the sum over
+    edges uv of |N(u) & N(v)|: both count every triangle three times.
     """
-    order = 4 ** (N + 1)
-    closed = _exact_div(order * (order - 1), 6)
-    if closed != c4_nonedges_binomial(N):
-        raise ArithmeticError(f"non-edge closed forms disagree at level {N}")
-    return closed
-
-
-def c4_nonedges_binomial(N: int) -> int:
-    """m_N as C(4^(N+1), 2) minus the edge count 4^(N+1) * sum(4^i)."""
-    order = 4 ** (N + 1)
-    return comb(order, 2) - order * sum(4**i for i in range(N + 1))
-
-
-def c4_edges_closed(N: int) -> int:
-    """Edge count of level N for the 4-cycle family: 4^(N+1) * sum(4^i)."""
-    order = 4 ** (N + 1)
-    edges = order * sum(4**i for i in range(N + 1))
-    if edges + c4_nonedges_closed(N) != comb(order, 2):
-        raise ArithmeticError(f"edge/non-edge split broken at level {N}")
-    return edges
-
-
-def theta_nonedges_closed(N: int) -> int:
-    """m_N for the theta family: 5^N * (5^(N+1) - 1), checked against the
-    per-blob sum shape 4 * 5^N * sum(5^i)."""
-    closed = 5**N * (5 ** (N + 1) - 1)
-    summed = 4 * 5**N * sum(5**i for i in range(N + 1))
-    if closed != summed:
-        raise ArithmeticError(f"non-edge closed forms disagree at level {N}")
-    return closed
-
-
-def theta_edges_closed(N: int) -> int:
-    """Edge count of level N for the theta family: 6 * 5^N * sum(5^i)."""
-    edges = 6 * 5**N * sum(5**i for i in range(N + 1))
-    if edges + theta_nonedges_closed(N) != comb(5 ** (N + 1), 2):
-        raise ArithmeticError(f"edge/non-edge split broken at level {N}")
-    return edges
-
-
-# ---------------------------------------------------------------------------
-# Recurrences
-# ---------------------------------------------------------------------------
+    rows = g.rows
+    pairs = sum(comb(row.bit_count(), 2) for row in rows)
+    closed = sum((rows[u] & rows[v]).bit_count() for u, v in g.edges())
+    T = count_induced_c4_diagonal(g).value
+    return BaseInvariants(g.n, g.non_edge_count, T, g.edge_count, pairs - closed)
 
 
 @dataclass(frozen=True)
 class TermBreakdown:
-    """The four summands of one application of the level recurrence.
-
-    Slots follow the recurrence's term order.  For the 4-cycle family the
-    names are literal; for the theta family the third slot holds the paired
-    non-edge term 6*m^2 and the fourth the mixed term 9*m*(blob order)^2.
-    At level 0 the base count rides in the copies slot and the rest are 0.
+    """The four summands of T(H[K]) in the composition rule, in its order:
+    n_H*T_K, T_H*n_K^4, P_H*m_K*n_K^2 and e_H*m_K^2.  At level 0 of a
+    nested blow-up the base count rides in the copies slot and the rest
+    are 0.
     """
 
     copies_term: int
@@ -184,49 +165,33 @@ class TermBreakdown:
         )
 
 
-def _c4_terms(level: int, prev: int) -> TermBreakdown:
-    blob = 4**level
-    m = c4_nonedges_closed(level - 1)
-    return TermBreakdown(4 * prev, blob**4, 4 * m * blob * blob, 4 * m * m)
+class LevelCounts(NamedTuple):
+    """Vertices, non-edges and induced 4-cycles of one graph by the rule."""
+
+    n: int
+    m: int
+    T: int
+    breakdown: TermBreakdown
+
+    @property
+    def edges(self) -> int:
+        return comb(self.n, 2) - self.m
 
 
-def _theta_terms(level: int, prev: int) -> TermBreakdown:
-    blob = 5**level
-    m = theta_nonedges_closed(level - 1)
-    return TermBreakdown(5 * prev, 3 * blob**4, 6 * m * m, 9 * m * blob * blob)
+def compose_counts(h: BaseInvariants, k: BaseInvariants | LevelCounts) -> LevelCounts:
+    """The counts of H[K] from the invariants of H and K's n, m and T."""
+    terms = TermBreakdown(h.n * k.T, h.T * k.n**4, h.P * k.m * k.n**2, h.e * k.m**2)
+    return LevelCounts(h.n * k.n, h.n * k.m + h.m * k.n**2, terms.total, terms)
 
 
-def _iterate(base: int, terms: Callable[[int, int], TermBreakdown], N: int) -> int:
-    t = base
-    for level in range(1, N + 1):
-        t = terms(level, t).total
-    return t
-
-
-def c4_recurrence_T(N: int) -> int:
-    """T_N by iterating the recurrence from T_0 = 1."""
-    if N < 0:
+def blowup_levels(base: BaseInvariants, max_level: int) -> list[LevelCounts]:
+    """Levels 0..max_level of the nested blow-up of ``base``, by the rule."""
+    if max_level < 0:
         raise ValueError("level must be nonnegative")
-    return _iterate(1, _c4_terms, N)
-
-
-def c4_recurrence_breakdown(N: int) -> TermBreakdown:
-    if N == 0:
-        return TermBreakdown(1, 0, 0, 0)
-    return _c4_terms(N, c4_recurrence_T(N - 1))
-
-
-def theta_recurrence_T(N: int) -> int:
-    """T_N by iterating the recurrence from T_0 = 3."""
-    if N < 0:
-        raise ValueError("level must be nonnegative")
-    return _iterate(3, _theta_terms, N)
-
-
-def theta_recurrence_breakdown(N: int) -> TermBreakdown:
-    if N == 0:
-        return TermBreakdown(3, 0, 0, 0)
-    return _theta_terms(N, theta_recurrence_T(N - 1))
+    levels = [LevelCounts(base.n, base.m, base.T, TermBreakdown(base.T, 0, 0, 0))]
+    for _ in range(max_level):
+        levels.append(compose_counts(base, levels[-1]))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +238,10 @@ def c4_partial_sums(N: int) -> PartialSums:
     p = 4**N
     p2 = 4 ** (2 * N)
     p3 = 4 ** (3 * N)
+    m = [level.m for level in blowup_levels(FORMULAS["c4"].base, N)]
     q_sum = p * sum(4 ** (3 * i) for i in range(N + 1))
-    r_sum = sum(4 ** (N + i + 1) * c4_nonedges_closed(i - 1) for i in range(1, N + 1))
-    s_sum = sum(4**i * c4_nonedges_closed(N - i) ** 2 for i in range(1, N + 1))
+    r_sum = sum(4 ** (N + i + 1) * m[i - 1] for i in range(1, N + 1))
+    s_sum = sum(4**i * m[N - i] ** 2 for i in range(1, N + 1))
     q_closed = _exact_div(p * (64 * p3 - 1), 63)
     r_closed = _exact_div(4 * p * (320 * p3 - 336 * p2 + 16), 1890)
     s_closed = _exact_div(4 * p * (80 * p3 - 168 * p2 + 105 * p - 17), 2835)
@@ -294,9 +260,10 @@ def theta_partial_sums(N: int) -> PartialSums:
     p = 5**N
     p2 = 5 ** (2 * N)
     p3 = 5 ** (3 * N)
+    m = [level.m for level in blowup_levels(FORMULAS["theta222"].base, N)]
     q_sum = 3 * p * sum(5 ** (3 * i) for i in range(N + 1))
-    r_sum = 6 * sum(5 ** (i - 1) * theta_nonedges_closed(N - i) ** 2 for i in range(1, N + 1))
-    s_sum = 9 * sum(5 ** (N + i) * theta_nonedges_closed(i - 1) for i in range(1, N + 1))
+    r_sum = 6 * sum(5 ** (i - 1) * m[N - i] ** 2 for i in range(1, N + 1))
+    s_sum = 9 * sum(5 ** (N + i) * m[i - 1] for i in range(1, N + 1))
     q_closed = _exact_div(3 * p * (125 * p3 - 1), 124)
     r_closed = _exact_div(p * (150 * p3 - 310 * p2 + 186 * p - 26), 620)
     s_closed = _exact_div(3 * p * (750 * p3 - 775 * p2 + 25), 1240)
@@ -348,37 +315,35 @@ def theta_closed_T(N: int, variant: Variant) -> ClosedValue:
 
 
 class FamilyFormulas(NamedTuple):
-    """Formula bundle for one base family, keyed by Family.value."""
+    """The hand-typed claims for one named family, keyed by Family.value."""
 
-    base_order: int
-    base_count: int
-    nonedges_closed: Callable[[int], int]
-    edges_closed: Callable[[int], int]
-    recurrence_T: Callable[[int], int]
-    recurrence_breakdown: Callable[[int], TermBreakdown]
+    family: Family
     partial_sums: Callable[[int], PartialSums]
     closed_T: Callable[[int, Variant], ClosedValue]
 
+    @property
+    def base(self) -> BaseInvariants:
+        return _named_invariants(self.family)
+
+    # level sizes by the rule, under the names perfbench/worker.py reads
+
+    @property
+    def base_order(self) -> int:
+        return self.base.n
+
+    def nonedges_closed(self, N: int) -> int:
+        return blowup_levels(self.base, N)[N].m
+
+    def edges_closed(self, N: int) -> int:
+        return blowup_levels(self.base, N)[N].edges
+
+
+@lru_cache(maxsize=None)
+def _named_invariants(family: Family) -> BaseInvariants:
+    return base_invariants(_named_base(family))
+
 
 FORMULAS: dict[str, FamilyFormulas] = {
-    "c4": FamilyFormulas(
-        base_order=4,
-        base_count=1,
-        nonedges_closed=c4_nonedges_closed,
-        edges_closed=c4_edges_closed,
-        recurrence_T=c4_recurrence_T,
-        recurrence_breakdown=c4_recurrence_breakdown,
-        partial_sums=c4_partial_sums,
-        closed_T=c4_closed_T,
-    ),
-    "theta222": FamilyFormulas(
-        base_order=5,
-        base_count=3,
-        nonedges_closed=theta_nonedges_closed,
-        edges_closed=theta_edges_closed,
-        recurrence_T=theta_recurrence_T,
-        recurrence_breakdown=theta_recurrence_breakdown,
-        partial_sums=theta_partial_sums,
-        closed_T=theta_closed_T,
-    ),
+    "c4": FamilyFormulas(Family.C4, c4_partial_sums, c4_closed_T),
+    "theta222": FamilyFormulas(Family.THETA222, theta_partial_sums, theta_closed_T),
 }

@@ -32,7 +32,15 @@ from .counting import (
     count_induced_c4_diagonal,
     count_induced_c4_enum,
 )
-from .formulas import FORMULAS, Rational, TermBreakdown, Variant
+from .formulas import (
+    FORMULAS,
+    LevelCounts,
+    Rational,
+    TermBreakdown,
+    Variant,
+    base_invariants,
+    blowup_levels,
+)
 from .graphs import DEFAULT_VERTEX_CAP, BlowupSpec, Family, Graph, nested_blowup
 
 __all__ = [
@@ -253,8 +261,9 @@ def _closed_matches(closed: int | Rational, reference: int) -> bool:
 
 
 def _build_level(
-    spec: BlowupSpec, config: RunConfig, findings: list[Finding]
+    spec: BlowupSpec, rule: LevelCounts, config: RunConfig, findings: list[Finding]
 ) -> LevelRecord:
+    """One level's record; ``rule`` holds its counts by the composition rule."""
     bundle = FORMULAS.get(spec.family.value)
     order = spec.total_order
     timings: dict[str, float] = {}
@@ -263,15 +272,10 @@ def _build_level(
 
     if bundle is not None:
         t0 = time.perf_counter()
-        ne_formula = bundle.nonedges_closed(n)
-        edges_formula = bundle.edges_closed(n)
-        t_rec = bundle.recurrence_T(n)
-        breakdown = bundle.recurrence_breakdown(n)
         stated = bundle.closed_T(n, Variant.STATED)
         derived = bundle.closed_T(n, Variant.DERIVED)
         timings["formulas"] = time.perf_counter() - t0
     else:
-        ne_formula = edges_formula = t_rec = breakdown = None
         stated = derived = None
 
     graph: Graph | None = None
@@ -283,7 +287,7 @@ def _build_level(
         edges: int | str = graph.edge_count
     else:
         ne_graph = SKIPPED_CAP
-        edges = edges_formula if edges_formula is not None else SKIPPED_CAP
+        edges = rule.edges
 
     t_enum: int | str
     if "enum" not in config.methods:
@@ -311,43 +315,34 @@ def _build_level(
 
     comparisons: dict[str, tuple[Any, Any, str]] = {
         "enum_vs_diagonal": (t_enum, t_diag, "internal counter disagreement"),
+        "non_edges_formula_vs_graph": (
+            ne_graph,
+            rule.m,
+            "non-edge count of the composition rule disagrees with the constructed graph",
+        ),
+        "edges_formula_vs_graph": (
+            edges if graph is not None else SKIPPED_CAP,
+            rule.edges,
+            "edge count of the composition rule disagrees with the constructed graph",
+        ),
+        "enum_vs_recurrence": (
+            t_enum,
+            rule.T,
+            "enumeration count disagrees with the recurrence",
+        ),
+        "diagonal_vs_recurrence": (
+            t_diag,
+            rule.T,
+            "diagonal count disagrees with the recurrence",
+        ),
     }
     if bundle is not None:
-        edges_graph = graph.edge_count if graph is not None else SKIPPED_CAP
-        comparisons.update(
-            {
-                "non_edges_formula_vs_graph": (
-                    ne_graph,
-                    ne_formula,
-                    "non-edge closed form disagrees with the constructed graph",
-                ),
-                "edges_formula_vs_graph": (
-                    edges_graph,
-                    edges_formula,
-                    "edge closed form disagrees with the constructed graph",
-                ),
-                "enum_vs_recurrence": (
-                    t_enum,
-                    t_rec,
-                    "enumeration count disagrees with the recurrence",
-                ),
-                "diagonal_vs_recurrence": (
-                    t_diag,
-                    t_rec,
-                    "diagonal count disagrees with the recurrence",
-                ),
-                "closed_derived_vs_recurrence": (
-                    derived,
-                    t_rec,
-                    "derived-variant closed form disagrees with the recurrence",
-                ),
-                "closed_stated_vs_recurrence": (
-                    stated,
-                    t_rec,
-                    _stated_note(stated),
-                ),
-            }
+        comparisons["closed_derived_vs_recurrence"] = (
+            derived,
+            rule.T,
+            "derived-variant closed form disagrees with the recurrence",
         )
+        comparisons["closed_stated_vs_recurrence"] = (stated, rule.T, _stated_note(stated))
 
     flags: dict[str, bool | str] = {}
     for key, (observed, expected, note) in comparisons.items():
@@ -363,13 +358,13 @@ def _build_level(
         vertices=order,
         edges=edges,
         non_edges_graph=ne_graph,
-        non_edges_formula=ne_formula,
+        non_edges_formula=rule.m,
         T_enum=t_enum,
         T_diagonal=t_diag,
-        T_recurrence=t_rec,
+        T_recurrence=rule.T,
         T_closed_stated=stated,
         T_closed_derived=derived,
-        breakdown=breakdown,
+        breakdown=rule.breakdown,
         match_flags=flags,
         timings=timings,
         work=work,
@@ -399,15 +394,11 @@ def build_report(config: RunConfig, custom_base: Graph | None = None) -> Verific
     """Run the full verification pipeline described by ``config``."""
     if config.family is Family.CUSTOM and custom_base is None:
         raise ValueError("custom family requires a base graph")
+    base = custom_base if config.family is Family.CUSTOM else None
+    specs = [BlowupSpec(config.family, n, base) for n in range(config.max_level + 1)]
+    rule = blowup_levels(base_invariants(specs[0].base), config.max_level)
     findings: list[Finding] = []
-    levels = []
-    for n in range(config.max_level + 1):
-        spec = BlowupSpec(
-            config.family,
-            n,
-            custom_base if config.family is Family.CUSTOM else None,
-        )
-        levels.append(_build_level(spec, config, findings))
+    levels = [_build_level(spec, counts, config, findings) for spec, counts in zip(specs, rule)]
     meta = {
         "tool": "blowup-census",
         "version": __version__,

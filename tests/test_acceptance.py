@@ -13,16 +13,15 @@ import time
 from functools import lru_cache
 
 from blowup_census import (
+    FORMULAS,
     BlowupSpec,
     Family,
     Rational,
     Variant,
     VerificationReport,
+    blowup_levels,
     c4_closed_T,
-    c4_nonedges_binomial,
-    c4_nonedges_closed,
     c4_partial_sums,
-    c4_recurrence_T,
     count_induced_c4_diagonal,
     count_induced_c4_enum,
     cycle_graph,
@@ -31,10 +30,7 @@ from blowup_census import (
     read_edge_list,
     theta_222,
     theta_closed_T,
-    theta_edges_closed,
-    theta_nonedges_closed,
     theta_partial_sums,
-    theta_recurrence_T,
     write_edge_list,
 )
 from blowup_census.cli import main as cli_main
@@ -46,6 +42,11 @@ from math import comb
 @lru_cache(maxsize=None)
 def _level(family: Family, n: int):
     return nested_blowup(BlowupSpec(family, n))
+
+
+def _rule(family: str, n: int):
+    """Level n of the family by the composition rule."""
+    return blowup_levels(FORMULAS[family].base, n)[n]
 
 
 def _report(num: int, detail: str) -> None:
@@ -89,7 +90,7 @@ def test_criterion_2_c4_nonedges_vs_graph():
     t0 = time.perf_counter()
     for n in range(4):
         from_graph = _level(Family.C4, n).non_edge_count
-        from_formula = c4_nonedges_closed(n)
+        from_formula = _rule("c4", n).m
         assert from_graph == from_formula == expected[n]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -102,8 +103,8 @@ def test_criterion_3_theta_nonedges_and_edges_vs_graph():
     t0 = time.perf_counter()
     for n in range(3):
         g = _level(Family.THETA222, n)
-        assert g.non_edge_count == theta_nonedges_closed(n) == expected_nonedges[n]
-        assert g.edge_count == theta_edges_closed(n) == expected_edges[n]
+        assert g.non_edge_count == _rule("theta222", n).m == expected_nonedges[n]
+        assert g.edge_count == _rule("theta222", n).edges == expected_edges[n]
         assert len(list(non_edges(g))) == expected_nonedges[n]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -126,7 +127,7 @@ def test_criterion_4_c4_oracle_chain():
         values = {
             enum_result.value,
             diag_result.value,
-            c4_recurrence_T(n),
+            _rule("c4", n).T,
             c4_closed_T(n, Variant.DERIVED),
         }
         assert values == {expected[n]}
@@ -143,7 +144,7 @@ def test_criterion_5_c4_level_three():
     # freezing; the graph-level counts below check it on the real 256-vertex
     # graph from two independent directions
     expected = 30051648
-    assert c4_recurrence_T(3) == expected
+    assert _rule("c4", 3).T == expected
     assert c4_closed_T(3, Variant.DERIVED) == expected
 
     g = _level(Family.C4, 3)
@@ -171,7 +172,7 @@ def test_criterion_6_theta_oracle_chain():
         values = {
             enum_result.value,
             diag_result.value,
-            theta_recurrence_T(n),
+            _rule("theta222", n).T,
             theta_closed_T(n, Variant.DERIVED),
         }
         assert values == {expected[n]}
@@ -179,7 +180,7 @@ def test_criterion_6_theta_oracle_chain():
 
     g3 = _level(Family.THETA222, 3)
     diag3 = count_induced_c4_diagonal(g3)
-    assert diag3.value == theta_recurrence_T(3) == 1235757900
+    assert diag3.value == _rule("theta222", 3).T == 1235757900
     assert diag3.elapsed < 60.0
     _report(
         6,
@@ -222,22 +223,25 @@ def test_criterion_7_discrepancy_findings(tmp_path):
 
 def test_criterion_8_pure_formula_sweep():
     t0 = time.perf_counter()
+    c4 = blowup_levels(FORMULAS["c4"].base, 31)
+    theta = blowup_levels(FORMULAS["theta222"].base, 31)
     for n in range(31):
-        assert c4_nonedges_closed(n) == c4_nonedges_binomial(n)
+        # the paper's two non-edge shapes
+        order = 4 ** (n + 1)
+        assert 6 * c4[n].m == order * (order - 1)
+        assert c4[n].m == comb(order, 2) - order * sum(4**i for i in range(n + 1))
         c4_sums = c4_partial_sums(n)
         assert c4_sums.q.agree and c4_sums.r.agree and c4_sums.s.agree
-        assert c4_sums.total_summation == c4_recurrence_T(n)
+        assert c4_sums.total_summation == c4[n].T
         theta_sums = theta_partial_sums(n)
         assert theta_sums.q.agree and theta_sums.r.agree and theta_sums.s.agree
-        assert theta_sums.total_summation == theta_recurrence_T(n)
+        assert theta_sums.total_summation == theta[n].T
         # divisibility: the derived closed forms come back as ints and match
-        assert c4_closed_T(n, Variant.DERIVED) == c4_recurrence_T(n)
-        assert theta_closed_T(n, Variant.DERIVED) == theta_recurrence_T(n)
+        assert c4_closed_T(n, Variant.DERIVED) == c4[n].T
+        assert theta_closed_T(n, Variant.DERIVED) == theta[n].T
         # induction steps of the non-edge formulas
-        order = 4 ** (n + 1)
-        edges = comb(order, 2) - c4_nonedges_closed(n)
-        assert c4_nonedges_closed(n + 1) == comb(4 ** (n + 2), 2) - 4 * edges - 4 * order**2
-        assert theta_nonedges_closed(n + 1) == comb(5 ** (n + 2), 2) - theta_edges_closed(n + 1)
+        assert c4[n + 1].m == comb(4 ** (n + 2), 2) - 4 * c4[n].edges - 4 * order**2
+        assert theta[n + 1].m == comb(5 ** (n + 2), 2) - theta[n + 1].edges
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(8, f"all formula identities hold exactly for N=0..30 in {elapsed:.3f}s < 1s")
@@ -273,7 +277,7 @@ def test_criterion_10_c4_level_four_diagonal():
     # no subset scan reaches C(1024, 4) ~ 4.6e10 under the default cap, so
     # the diagonal counter is the only graph-level check of this level
     expected = 7740798208
-    assert c4_recurrence_T(4) == c4_closed_T(4, Variant.DERIVED) == expected
+    assert _rule("c4", 4).T == c4_closed_T(4, Variant.DERIVED) == expected
 
     g = nested_blowup(BlowupSpec(Family.C4, 4))
     assert (g.n, g.edge_count, g.non_edge_count) == (1024, 349184, 174592)
@@ -296,7 +300,7 @@ def test_criterion_11_level_four_edge_lists():
     theta = nested_blowup(BlowupSpec(Family.THETA222, 4))
     theta_text = write_edge_list(theta)
     edge_lines = theta_text.count("\n") - 1
-    assert edge_lines == theta_edges_closed(4) == 2928750
+    assert edge_lines == _rule("theta222", 4).edges == 2928750
     assert read_edge_list(theta_text) == theta
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -314,7 +318,7 @@ def test_criterion_12_theta_level_three_both_counters():
     g = _level(Family.THETA222, 3)
     enum = count_induced_c4_enum(g, subset_cap=comb(625, 4))
     diag = count_induced_c4_diagonal(g)
-    assert enum.value == diag.value == theta_recurrence_T(3) == expected
+    assert enum.value == diag.value == _rule("theta222", 3).T == expected
     assert enum.elapsed < 120.0
     _report(
         12,
@@ -328,7 +332,7 @@ def test_criterion_13_theta_level_four_diagonal():
     # counter multiplies once per class, on the class columns of the quotient,
     # which brings it inside the budget
     expected = 774665211375
-    assert theta_recurrence_T(4) == theta_closed_T(4, Variant.DERIVED) == expected
+    assert _rule("theta222", 4).T == theta_closed_T(4, Variant.DERIVED) == expected
 
     g = nested_blowup(BlowupSpec(Family.THETA222, 4))
     assert (g.n, g.edge_count, g.non_edge_count) == (3125, 2928750, 1952500)

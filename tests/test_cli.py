@@ -178,6 +178,17 @@ def test_verify_json_stdout(capsys):
     assert "out" not in data["config"] and "format" not in data["config"]
 
 
+# the composition rule's checks run for a custom base; no closed_* flag, as
+# no hand-typed closed form exists for it
+_CUSTOM_FLAGS = {
+    "enum_vs_diagonal": True,
+    "non_edges_formula_vs_graph": True,
+    "edges_formula_vs_graph": True,
+    "enum_vs_recurrence": True,
+    "diagonal_vs_recurrence": True,
+}
+
+
 def test_verify_custom_family(tmp_path, capsys):
     base = tmp_path / "p3.edges"
     base.write_text("3\n0 1\n1 2\n")
@@ -187,8 +198,10 @@ def test_verify_custom_family(tmp_path, capsys):
     )
     assert code == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["levels"][1]["vertices"] == 9
-    assert data["levels"][1]["T_recurrence"] is None
+    level = data["levels"][1]
+    assert level["vertices"] == 9
+    assert level["T_enum"] == level["T_diagonal"] == level["T_recurrence"] == 11
+    assert level["match_flags"] == _CUSTOM_FLAGS
 
 
 def test_verify_custom_requires_input(capsys):
@@ -242,7 +255,7 @@ def test_workers_below_one_rejected(command, workers, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_module_entry_point():
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "blowup_census", "sequence", "--family", "c4",
          "--max-level", "1"],
@@ -251,6 +264,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "1,16,80,40,404"
+    # under -O the checks still run: they are comparisons, not asserts
+    base = tmp_path / "p3.edges"
+    base.write_text("3\n0 1\n1 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "blowup_census", "verify", "--family", "custom",
+         "--input", str(base), "--max-level", "1", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    levels = json.loads(proc.stdout)["levels"]
+    assert [level["match_flags"] for level in levels] == [_CUSTOM_FLAGS] * 2
 
 
 def test_import_leaves_multiprocessing_unloaded():

@@ -15,6 +15,7 @@ from blowup_census import (
     Graph,
     Rational,
     RunConfig,
+    TermBreakdown,
     VerificationReport,
     build_report,
     render_summary,
@@ -155,7 +156,7 @@ def test_vertex_cap_marks_whole_level_skipped():
     assert rec.non_edges_graph == SKIPPED_CAP
     assert rec.T_enum == SKIPPED_CAP
     assert rec.T_diagonal == SKIPPED_CAP
-    # formulas still evaluate; edges falls back to the closed form
+    # formulas still evaluate; edges falls back to the composition rule
     assert rec.non_edges_formula == 40
     assert rec.edges == 80
     assert rec.match_flags["edges_formula_vs_graph"] == SKIPPED_CAP
@@ -170,20 +171,49 @@ def test_methods_not_requested_marker():
     assert rec.match_flags["enum_vs_recurrence"] == SKIPPED_NOT_REQUESTED
 
 
+_RULE_FLAGS = {
+    "enum_vs_diagonal",
+    "non_edges_formula_vs_graph",
+    "edges_formula_vs_graph",
+    "enum_vs_recurrence",
+    "diagonal_vs_recurrence",
+}
+
+
 def test_custom_family_report():
+    # P3 has (n, m, T, e, P) = (3, 1, 0, 2, 1): P3[P3] has 1*1*9 + 2*1 = 11
+    # induced 4-cycles
     base = Graph.from_edges(3, [(0, 1), (1, 2)])
     config = RunConfig(family=Family.CUSTOM, max_level=1, input_path="p3.edges")
     report = build_report(config, custom_base=base)
     assert report.passed
+    assert report.findings == []
     rec = report.levels[1]
     assert rec.vertices == 9
-    assert rec.non_edges_formula is None
-    assert rec.T_recurrence is None
-    assert rec.breakdown is None
-    assert set(rec.match_flags) == {"enum_vs_diagonal"}
-    assert rec.match_flags["enum_vs_diagonal"] is True
-    # round-trip with None fields intact
+    assert rec.non_edges_graph == rec.non_edges_formula == 12
+    assert rec.T_enum == rec.T_diagonal == rec.T_recurrence == 11
+    assert rec.breakdown == TermBreakdown(0, 0, 9, 2)
+    # no hand-typed closed form exists for a custom base
+    assert rec.T_closed_stated is None and rec.T_closed_derived is None
+    for level in report.levels:
+        assert set(level.match_flags) == _RULE_FLAGS
+        assert all(flag is True for flag in level.match_flags.values())
     assert VerificationReport.from_json(report.to_json()) == report
+
+
+def test_custom_family_over_vertex_cap_uses_the_rule():
+    base = Graph.from_edges(3, [(0, 1), (1, 2)])
+    config = RunConfig(family=Family.CUSTOM, max_level=2, vertex_cap=9)
+    report = build_report(config, custom_base=base)
+    assert report.passed
+    rec = report.levels[2]  # 27 vertices > 9
+    assert rec.non_edges_graph == rec.T_enum == rec.T_diagonal == SKIPPED_CAP
+    # m_2 = 3*12 + 1*81 and edges C(27, 2) - m_2, from the rule
+    assert rec.non_edges_formula == 117
+    assert rec.edges == 234
+    assert rec.T_recurrence == 1293
+    assert set(rec.match_flags) == _RULE_FLAGS
+    assert all(flag == SKIPPED_CAP for flag in rec.match_flags.values())
 
 
 def test_custom_family_requires_base():
