@@ -162,7 +162,7 @@ def _resolve_spec(args) -> BlowupSpec:
 def _check_formula_level(max_level: int) -> None:
     if max_level > FORMULA_LEVEL_CAP:
         raise VertexCapExceeded(
-            f"formula tables are capped at level {FORMULA_LEVEL_CAP}, got {max_level}"
+            f"--max-level is capped at {FORMULA_LEVEL_CAP}, got {max_level}"
         )
     if max_level < 0:
         raise GraphFormatError("--max-level must be nonnegative")
@@ -285,6 +285,7 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_formula_level(args.max_level)
     custom_base = _custom_base(args)
     family = Family(args.family)
     methods = ("enum", "diagonal") if args.method == "both" else (args.method,)

@@ -22,7 +22,7 @@ Two deliberately independent algorithms, each exact:
   float64 (see ``_diagonal_raw_sum``).  The method reads only the built
   graph and uses no blow-up identity.
 
-The two share nothing but the packed rows of ``graphs._packed_rows``.
+The two share nothing but the graph's packed rows, ``Graph.packed``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
 makes the diagonal method the scalable one here.  Enumeration may split its
 values of c across worker processes; partial counts combine by integer
@@ -41,7 +41,7 @@ from operator import mul
 
 import numpy as np
 
-from .graphs import Graph, VertexCapExceeded, _packed_rows
+from .graphs import Graph, VertexCapExceeded
 
 __all__ = [
     "DEFAULT_SUBSET_CAP",
@@ -224,7 +224,7 @@ def count_induced_c4_enum(
             f"enumeration over {subsets} subsets exceeds the cap of {subset_cap}; "
             "raise --subset-cap or use the diagonal method"
         )
-    packed = _packed_rows(g.n, g.rows)
+    packed = g.packed
     cs = range(2, g.n - 1)
     size = _pool_size(workers, len(cs))
     if size == 1:
@@ -355,7 +355,7 @@ def _diagonal_raw_sum(g: Graph, work: dict[str, int] | None = None) -> int:
             f"the diagonal counter is exact only below {FLOAT32_EXACT_LIMIT} "
             f"(2**24) vertices, got {g.n}"
         )
-    return _diagonal_raw(_packed_rows(g.n, g.rows), work)
+    return _diagonal_raw(g.packed, work)
 
 
 def count_induced_c4_diagonal(g: Graph) -> CountResult:

@@ -45,6 +45,8 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple, Union
 
+import numpy as np
+
 from .counting import count_induced_c4_diagonal
 from .graphs import Family, Graph, _named_base
 
@@ -129,17 +131,20 @@ class BaseInvariants(NamedTuple):
     P: int  # sum over vertices i of the non-adjacent pairs in N(i)
 
 
-def base_invariants(g: Graph) -> BaseInvariants:
-    """(n, m, T, e, P) of g; T from the diagonal counter.
+def base_invariants(g: Graph, T: int | None = None) -> BaseInvariants:
+    """(n, m, T, e, P) of g, from its packed rows; ``T`` is g's induced
+    4-cycle count when the caller has one, else the diagonal counter's.
 
-    P = sum_i C(deg i, 2) - sum_i e(N(i)), and sum_i e(N(i)) is the sum over
-    edges uv of |N(u) & N(v)|: both count every triangle three times.
+    P = sum_i C(deg i, 2) - sum_i e(N(i)), and sum_i e(N(i)) is half the sum
+    over vertices u and v in N(u) of |N(u) & N(v)|: the first counts every
+    triangle three times, the second six.
     """
-    rows = g.rows
-    pairs = sum(comb(row.bit_count(), 2) for row in rows)
-    closed = sum((rows[u] & rows[v]).bit_count() for u, v in g.edges())
-    T = count_induced_c4_diagonal(g).value
-    return BaseInvariants(g.n, g.non_edge_count, T, g.edge_count, pairs - closed)
+    packed = g.packed
+    cells = np.unpackbits(packed, axis=1, count=g.n, bitorder="little").view(bool)
+    common = sum(int(np.bitwise_count(packed[nbrs] & row).sum()) for nbrs, row in zip(cells, packed))
+    pairs = sum(comb(d, 2) for d in cells.sum(axis=1).tolist())
+    T = count_induced_c4_diagonal(g).value if T is None else T
+    return BaseInvariants(g.n, g.non_edge_count, T, g.edge_count, pairs - common // 2)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ vertex b (a "blob") occupies the contiguous id interval
 b * |V(G_{N-1})| + x.  Any consistent labeling gives the same induced-subgraph
 counts, so this one is fixed as the canonical contract.
 
-Adjacency rows are plain Python ints used as bitsets, which keeps all set
-algebra exact and makes row intersection a single AND.  Bulk work over every
-row (validation, edge-list I/O, the counters' dense matrices) goes through
-the same rows packed into an (n, ceil(n/8)) uint8 numpy matrix.
+A graph is stored once, as its adjacency rows packed into a read-only
+(n, ceil(n/8)) uint8 numpy matrix: bit j of row u (byte j >> 3, bit j & 7)
+is set iff {u, j} is an edge.  Composition, validation, the edge-list reader
+and writer and both counters work on that matrix directly.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ __all__ = [
 # not fit in memory; CLI flag --vertex-cap overrides.
 DEFAULT_VERTEX_CAP = 1 << 20
 
-# Validation unpacks the adjacency in row stripes of at most this many bytes,
-# so checking symmetry never allocates n^2 bytes at once.
+# Validation checks symmetry in row stripes of at most this many cells, so
+# it never copies the whole packed matrix.
 _VALIDATE_BLOCK_BYTES = 1 << 22
 
 # The edge-list writer unpacks row stripes of about this many cells (at least
@@ -76,46 +76,45 @@ class NonEdge(NamedTuple):
     v: int
 
 
-def _bits(x: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _width(n: int) -> int:
+    """Bytes in a packed row of an n-vertex graph."""
+    return (n + 7) >> 3
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Graph:
     """Immutable simple graph on vertex ids 0..n-1.
 
-    ``rows[u]`` has bit v set iff {u, v} is an edge.  Construction validates
-    the representation invariants (no self-loops, symmetry, no bits beyond
-    the vertex range), so every live Graph is well-formed and safe to share
-    across threads.  The checks run on the packed rows, n^2/8 bytes whatever
-    the edge count, plus row stripes of at most ``_VALIDATE_BLOCK_BYTES``.
+    ``packed`` is the read-only (n, ceil(n/8)) uint8 adjacency matrix, the
+    only copy of the graph.  Construction validates it (no self-loops, no
+    bits beyond the vertex range, symmetry), so every live Graph is
+    well-formed and safe to share across threads.  ``Graph(n, rows)`` takes
+    rows as Python ints used as bitsets, packs them once and validates.
     """
 
     n: int
-    rows: tuple[int, ...]
+    packed: np.ndarray
+    edge_count: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, rows: Iterable[int]) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if not isinstance(self.rows, tuple):
-            object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        for u, row in enumerate(self.rows):
-            if row < 0 or row >> self.n:
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+        for u, row in enumerate(rows):
+            if row < 0 or row >> n:
                 raise ValueError(f"row {u} has bits outside the vertex range")
-        packed = _packed_rows(self.n, self.rows)
-        ids = np.arange(self.n)
-        loops = (packed[ids, ids >> 3] >> (ids & 7)) & 1
-        if loops.any():
-            raise ValueError(f"self-loop at vertex {int(loops.argmax())}")
-        _check_symmetric(packed)
-        total_bits = sum(row.bit_count() for row in self.rows)
-        object.__setattr__(self, "_edge_count", total_bits // 2)
+        data = b"".join(row.to_bytes(_width(n), "little") for row in rows)
+        self._adopt(np.frombuffer(data, dtype=np.uint8).reshape(n, _width(n)))
+
+    @classmethod
+    def _from_packed(cls, packed: np.ndarray) -> "Graph":
+        """The graph whose packed adjacency is ``packed``, validated.  The
+        caller hands the array over and keeps no writable reference to it."""
+        g = cls.__new__(cls)
+        g._adopt(packed)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -128,56 +127,59 @@ class Graph:
             lo.append(min(u, v))
             hi.append(max(u, v))
         lo_ids, hi_ids = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-        rows = _rows_from_pairs(n, lo_ids, hi_ids)
-        if rows is None:
+        packed = _rows_from_pairs(n, lo_ids, hi_ids)
+        if packed is None:
             k = _first_repeat(lo_ids, hi_ids)
             raise ValueError(f"duplicate edge ({lo[k]}, {hi[k]})")
-        return cls(n, rows)
+        return cls._from_packed(packed)
+
+    def _adopt(self, packed: np.ndarray) -> None:
+        n = len(packed)
+        if packed.dtype != np.uint8 or packed.shape != (n, _width(n)):
+            raise ValueError(f"packed adjacency of {n} vertices must be ({n}, {_width(n)}) uint8")
+        packed = np.ascontiguousarray(packed)
+        edge_count = _validate(packed)
+        packed.flags.writeable = False
+        for name, value in (("n", n), ("packed", packed), ("edge_count", edge_count)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.packed, other.packed)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.packed.tobytes()))
 
     # -- queries ------------------------------------------------------------
 
     @property
-    def edge_count(self) -> int:
-        return self._edge_count  # type: ignore[attr-defined]
+    def rows(self) -> tuple[int, ...]:
+        """Adjacency rows as Python ints: bit v of ``rows[u]`` is set iff
+        {u, v} is an edge.  Derived from ``packed`` on every access."""
+        data, width = self.packed.tobytes(), self.packed.shape[1]
+        return tuple(int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
 
     @property
     def non_edge_count(self) -> int:
         return comb(self.n, 2) - self.edge_count
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (u, v) with u < v, ascending."""
-        for u in range(self.n):
-            for off in _bits(self.rows[u] >> (u + 1)):
-                yield u, u + 1 + off
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
-
-
-def _packed_rows(n: int, rows: tuple[int, ...]) -> np.ndarray:
-    """Rows as an (n, ceil(n/8)) uint8 matrix, bit j of a row = byte j>>3, bit j&7.
-
-    Every row must lie in [0, 2**n).
-    """
-    width = max(1, (n + 7) // 8)
-    data = bytearray(n * width)
-    for u, row in enumerate(rows):
-        data[u * width : (u + 1) * width] = row.to_bytes(width, "little")
-    return np.frombuffer(data, dtype=np.uint8).reshape(n, width)
 
 
 # _BIT[j] is the byte with bit j set, j = 0..7.
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
-def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[int, ...] | None:
-    """Rows of the graph on n vertices whose edges are {lo[i], hi[i]}, or None
-    when some pair occurs twice.
+def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Packed rows of the graph on n vertices whose edges are {lo[i], hi[i]},
+    or None when some pair occurs twice.
 
     Needs 0 <= lo[i] < hi[i] < n: then distinct pairs set distinct bits, two
     each, and a repeat shows as fewer than 2 * len(lo) set bits.
     """
-    width = max(1, (n + 7) // 8)
+    width = _width(n)
     flat = np.zeros(n * width, dtype=np.uint8)
     for r, c in ((lo, hi), (hi, lo)):
         byte = r * width
@@ -185,8 +187,7 @@ def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[int, ...] 
         np.bitwise_or.at(flat, byte, _BIT[c & 7])
     if int(np.bitwise_count(flat).sum()) < 2 * len(lo):
         return None
-    data = flat.tobytes()
-    return tuple(int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width))
+    return flat.reshape(n, width)
 
 
 def _first_repeat(lo: np.ndarray, hi: np.ndarray) -> int | None:
@@ -197,28 +198,71 @@ def _first_repeat(lo: np.ndarray, hi: np.ndarray) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
-def _check_symmetric(packed: np.ndarray) -> None:
-    """Raise unless the packed n x n bit matrix equals its transpose.
+# ---------------------------------------------------------------------------
+# Validation
+# ---------------------------------------------------------------------------
+#
+# Symmetry is checked on 8 x 8 bit blocks: block (p, q), byte q of rows
+# 8p .. 8p + 7 read as one little-endian uint64, has cell (8p + k, 8q + j) at
+# bit 8k + j, and three delta swaps (Warren, Hacker's Delight, section 7-3)
+# turn it into block (q, p) of the transpose.  Byte columns [c0, c1) so
+# transposed are rows [8 c0, 8 c1) of the transpose, compared with the same
+# rows of the matrix.
 
-    Rows [i, j) are unpacked as a stripe and compared with columns [i, j) of
-    every row, transposed; the first set bit without a mirror, in row-major
-    order, is reported.
-    """
-    n = len(packed)
-    step = max(8, _VALIDATE_BLOCK_BYTES // max(n, 1) // 8 * 8)
-    for i in range(0, n, step):
-        j = min(i + step, n)
-        stripe = np.unpackbits(packed[i:j], axis=1, count=n, bitorder="little")
-        mirror = np.unpackbits(
-            packed[:, i // 8 : (j + 7) // 8], axis=1, count=j - i, bitorder="little"
-        )
-        unmatched = stripe > mirror.T
+_DELTA_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
+def _transposed_rows(columns: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows [8 c0, 8 c1) of the transpose of an n x n packed bit matrix, as
+    (8 (c1 - c0), ceil(n/8)) packed rows, from its byte columns [c0, c1);
+    and the number of bits set in those columns."""
+    n, r = columns.shape
+    width = _width(n)
+    padded = np.zeros((8 * width, r), dtype=np.uint8)
+    padded[:n] = columns
+    # x[p, q]: block (p, c0 + q)
+    x = np.ascontiguousarray(padded.reshape(width, 8, r).transpose(0, 2, 1)).view("<u8")[..., 0]
+    for shift, mask in _DELTA_SWAPS:
+        t = ((x >> shift) ^ x) & mask
+        x ^= t ^ (t << shift)
+    # block (p, q) now holds block (c0 + q, p) of the transpose
+    rows = np.ascontiguousarray(x.T).view(np.uint8).reshape(r, width, 8).transpose(0, 2, 1)
+    return rows.reshape(8 * r, width), int(np.bitwise_count(x).sum())
+
+
+def _validate(packed: np.ndarray) -> int:
+    """Number of edges of the graph with these packed rows; raises
+    ValueError unless the rows are those of a simple graph: no bit at or
+    past n, no self-loop, every bit mirrored, checked in that order.  An
+    asymmetry is reported at the first unmirrored bit in row-major order."""
+    n, width = packed.shape
+    if n & 7:
+        outside = packed[:, -1] >> (n & 7)
+        if outside.any():
+            raise ValueError(f"row {int(outside.argmax())} has bits outside the vertex range")
+    ids = np.arange(n)
+    loops = (packed[ids, ids >> 3] >> (ids & 7)) & 1
+    if loops.any():
+        raise ValueError(f"self-loop at vertex {int(loops.argmax())}")
+    step = max(1, _VALIDATE_BLOCK_BYTES // max(8 * n, 1))
+    bits = 0
+    for c0 in range(0, width, step):
+        c1 = min(c0 + step, width)
+        stripe = packed[8 * c0 : 8 * c1]
+        mirror, count = _transposed_rows(packed[:, c0:c1])
+        unmatched = stripe & ~mirror[: len(stripe)]
         if unmatched.any():
-            u, v = divmod(int(unmatched.argmax()), n)
-            u += i
+            cells = np.unpackbits(unmatched, axis=1, count=n, bitorder="little")
+            u, v = divmod(int(cells.argmax()), n)
+            u += 8 * c0
             if u < v:
                 raise ValueError(f"asymmetric adjacency at ({u}, {v})")
             raise ValueError(f"asymmetric adjacency at ({u}, {v}) (unmatched lower-triangle bit)")
+        bits += count
+    return bits // 2
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +286,11 @@ def theta_222() -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._from_packed(np.packbits(~np.eye(n, dtype=bool), axis=1, bitorder="little"))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return Graph._from_packed(np.zeros((n, _width(n)), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +303,23 @@ def compose(g: Graph, h: Graph) -> Graph:
 
     Vertex (i, x) gets id i * |V(h)| + x.  Within copy i the edges are those
     of h; between copies i != j every pair is joined iff {i, j} is an edge
-    of g.
+    of g.  Copy i's rows are g's row i with every bit widened to |V(h)|
+    bits, OR-ed with h's rows shifted to bit i * |V(h)|.
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("compose requires non-empty graphs")
-    nh = h.n
-    block = (1 << nh) - 1
-    cross = []
-    for i in range(g.n):
-        mask = 0
-        for j in _bits(g.rows[i]):
-            mask |= block << (j * nh)
-        cross.append(mask)
-    rows = []
-    for i in range(g.n):
-        shift = i * nh
-        mask = cross[i]
-        for x in range(nh):
-            rows.append((h.rows[x] << shift) | mask)
-    return Graph(g.n * nh, tuple(rows))
+    nh, n = h.n, g.n * h.n
+    width, inner = _width(n), h.packed.shape[1]
+    cells = np.unpackbits(g.packed, axis=1, count=g.n, bitorder="little")
+    out = np.empty((g.n, nh, width), dtype=np.uint8)
+    out[:] = np.packbits(cells.repeat(nh, axis=1), axis=1, bitorder="little")[:, None]
+    for i, rows in enumerate(out):
+        byte, bit = divmod(i * nh, 8)
+        rows[:, byte : byte + inner] |= h.packed << bit
+        if bit:
+            spill = rows[:, byte + 1 : byte + 1 + inner]
+            spill |= (h.packed >> (8 - bit))[:, : spill.shape[1]]
+    return Graph._from_packed(out.reshape(n, width))
 
 
 class Family(str, Enum):
@@ -355,11 +396,10 @@ def nested_blowup(spec: BlowupSpec, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> 
 
 def non_edges(g: Graph) -> Iterator[NonEdge]:
     """All non-adjacent pairs (u, v) with u < v, ascending."""
-    full = (1 << g.n) - 1
-    for u in range(g.n):
-        above = (full >> (u + 1)) << (u + 1)
-        for v in _bits(above & ~g.rows[u]):
-            yield NonEdge(u, v)
+    for u, row in enumerate(g.packed):
+        cells = np.unpackbits(row, count=g.n, bitorder="little")
+        for v in np.flatnonzero(cells[u + 1 :] == 0).tolist():
+            yield NonEdge(u, u + 1 + v)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +428,7 @@ def _edge_list_chunks(g: Graph) -> Iterator[bytes]:
     yield b"%d\n" % n
     if n < 2:
         return
-    packed = _packed_rows(n, g.rows)
+    packed = g.packed
     width = len(str(n - 1)) + 1
     heads = np.array([b"%d " % u for u in range(n)], dtype=f"S{width}")
     tails = np.array([b"%d\n" % v for v in range(n)], dtype=f"S{width}")
@@ -509,8 +549,8 @@ def read_edge_list(text: str, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         raise _edge_line_error(*edge_line(int(faulty.argmax())), n)
     if bad is not None:
         raise _edge_line_error(*_line_at(text, bad.start() + 1), n)
-    rows = _rows_from_pairs(n, lo, hi)
-    if rows is None:
+    packed = _rows_from_pairs(n, lo, hi)
+    if packed is None:
         k = _first_repeat(lo, hi)
         raise GraphFormatError(f"line {edge_line(k)[0]}: duplicate edge ({lo[k]}, {hi[k]})")
-    return Graph(n, rows)
+    return Graph._from_packed(packed)

@@ -41,7 +41,7 @@ from .formulas import (
     base_invariants,
     blowup_levels,
 )
-from .graphs import DEFAULT_VERTEX_CAP, BlowupSpec, Family, Graph, nested_blowup
+from .graphs import DEFAULT_VERTEX_CAP, BlowupSpec, Family, Graph, compose
 
 __all__ = [
     "SKIPPED_CAP",
@@ -261,9 +261,12 @@ def _closed_matches(closed: int | Rational, reference: int) -> bool:
 
 
 def _build_level(
-    spec: BlowupSpec, rule: LevelCounts, config: RunConfig, findings: list[Finding]
-) -> LevelRecord:
-    """One level's record; ``rule`` holds its counts by the composition rule."""
+    spec: BlowupSpec, below: Graph | None, config: RunConfig, rules: list[LevelCounts], findings: list[Finding]
+) -> tuple[LevelRecord, Graph | None]:
+    """One level's record and graph (None over the vertex cap): the base
+    composed with ``below``, the graph of the level under it.  ``rules``, the
+    counts of every level by the composition rule, is filled at level 0 from
+    the base's own counts there, so each counter runs once on the base."""
     bundle = FORMULAS.get(spec.family.value)
     order = spec.total_order
     timings: dict[str, float] = {}
@@ -281,13 +284,8 @@ def _build_level(
     graph: Graph | None = None
     if order <= config.vertex_cap:
         t0 = time.perf_counter()
-        graph = nested_blowup(spec, vertex_cap=config.vertex_cap)
+        graph = spec.base if n == 0 else compose(spec.base, below)
         timings["build"] = time.perf_counter() - t0
-        ne_graph: int | str = graph.non_edge_count
-        edges: int | str = graph.edge_count
-    else:
-        ne_graph = SKIPPED_CAP
-        edges = rule.edges
 
     t_enum: int | str
     if "enum" not in config.methods:
@@ -312,6 +310,13 @@ def _build_level(
         t_diag = result.value
         timings["diagonal"] = result.elapsed
         work["diagonal"] = result.work
+
+    if not rules:
+        base_T = next((t for t in (t_enum, t_diag) if isinstance(t, int)), None)
+        rules.extend(blowup_levels(base_invariants(spec.base, base_T), config.max_level))
+    rule = rules[n]
+    ne_graph: int | str = SKIPPED_CAP if graph is None else graph.non_edge_count
+    edges: int | str = rule.edges if graph is None else graph.edge_count
 
     comparisons: dict[str, tuple[Any, Any, str]] = {
         "enum_vs_diagonal": (t_enum, t_diag, "internal counter disagreement"),
@@ -368,7 +373,7 @@ def _build_level(
         match_flags=flags,
         timings=timings,
         work=work,
-    )
+    ), graph
 
 
 def _stated_note(stated: int | Rational) -> str:
@@ -395,10 +400,13 @@ def build_report(config: RunConfig, custom_base: Graph | None = None) -> Verific
     if config.family is Family.CUSTOM and custom_base is None:
         raise ValueError("custom family requires a base graph")
     base = custom_base if config.family is Family.CUSTOM else None
-    specs = [BlowupSpec(config.family, n, base) for n in range(config.max_level + 1)]
-    rule = blowup_levels(base_invariants(specs[0].base), config.max_level)
     findings: list[Finding] = []
-    levels = [_build_level(spec, counts, config, findings) for spec, counts in zip(specs, rule)]
+    rules: list[LevelCounts] = []
+    levels: list[LevelRecord] = []
+    graph: Graph | None = None
+    for n in range(config.max_level + 1):
+        record, graph = _build_level(BlowupSpec(config.family, n, base), graph, config, rules, findings)
+        levels.append(record)
     meta = {
         "tool": "blowup-census",
         "version": __version__,

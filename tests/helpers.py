@@ -1,8 +1,10 @@
 """Shared test utilities: a seeded random-graph model, a deliberately naive
 induced-4-cycle oracle and a per-line edge-list parser, both sharing no code
 with the package beyond the Graph type, the per-vertex diagonal sum the
-package's quotient one must equal, substitution of unequal blobs, and small
-adjacency queries on a Graph's rows."""
+package's quotient one must equal, substitution of unequal blobs, small
+adjacency queries on a Graph's rows, and the oracles for the packed layers:
+validation on unpacked row stripes, composition on Python-int rows, and
+blow-up edge lists by the digit rule."""
 
 from __future__ import annotations
 
@@ -25,12 +27,13 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 def has_edge(g: Graph, u: int, v: int) -> bool:
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError(f"vertex pair ({u}, {v}) out of range")
-    return bool((g.rows[u] >> v) & 1)
+    return bool((g.packed[u, v >> 3] >> (v & 7)) & 1)
 
 
 def neighbors(g: Graph, v: int) -> list[int]:
     """Neighbours of v, ascending."""
-    return [u for u in range(g.n) if (g.rows[v] >> u) & 1]
+    row = g.rows[v]
+    return [u for u in range(g.n) if (row >> u) & 1]
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
@@ -50,7 +53,7 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     if sorted(mapping) != list(range(g.n)):
         raise ValueError("relabeling must be a permutation of the vertex ids")
     rows = [0] * g.n
-    for u, v in g.edges():
+    for u, v in edges(g):
         pu, pv = mapping[u], mapping[v]
         rows[pu] |= 1 << pv
         rows[pv] |= 1 << pu
@@ -66,28 +69,32 @@ def substitute(q: Graph, blobs: list[Graph]) -> Graph:
     starts = [0]
     for blob in blobs:
         starts.append(starts[-1] + blob.n)
-    edges = [(starts[i] + a, starts[i] + b) for i, blob in enumerate(blobs) for a, b in blob.edges()]
-    for i, j in q.edges():
-        edges += [(a, b) for a in range(starts[i], starts[i + 1]) for b in range(starts[j], starts[j + 1])]
-    return Graph.from_edges(starts[-1], edges)
+    pairs = [(starts[i] + a, starts[i] + b) for i, blob in enumerate(blobs) for a, b in edges(blob)]
+    for i, j in edges(q):
+        pairs += [(a, b) for a in range(starts[i], starts[i + 1]) for b in range(starts[j], starts[j + 1])]
+    return Graph.from_edges(starts[-1], pairs)
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
-    """Adjacency as an (n, n) uint8 0/1 matrix, for the reference diagonal sum."""
-    adj = np.zeros((g.n, g.n), dtype=np.uint8)
-    for u, v in g.edges():
-        adj[u, v] = adj[v, u] = 1
-    return adj
+    """Adjacency as an (n, n) uint8 0/1 matrix."""
+    return np.unpackbits(g.packed, axis=1, count=g.n, bitorder="little")
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges as (u, v) with u < v, ascending."""
+    u, v = np.nonzero(np.triu(dense_adjacency(g), 1))
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def brute_force_c4_count(g: Graph) -> int:
     """Reference oracle: test every 4-subset directly against the definition."""
     count = 0
+    rows = g.rows
     for quad in combinations(range(g.n), 4):
         degs = dict.fromkeys(quad, 0)
         edges = 0
         for u, v in combinations(quad, 2):
-            if (g.rows[u] >> v) & 1:
+            if (rows[u] >> v) & 1:
                 edges += 1
                 degs[u] += 1
                 degs[v] += 1
@@ -165,3 +172,83 @@ def reference_diagonal_raw(adj: np.ndarray) -> int:
             raise ValueError("handshake parity violated: adjacency is not symmetric")
         raw += sum((sizes * (sizes - 1) // 2 - twice_edges // 2).tolist())
     return raw
+
+
+def reference_check_symmetric(packed: np.ndarray, step: int = 8) -> None:
+    """Reference symmetry check: raise unless the packed n x n bit matrix
+    equals its transpose.
+
+    Rows [i, i + step) are unpacked as a stripe and compared with columns
+    [i, i + step) of every row, unpacked and transposed; the first set bit
+    without a mirror, in row-major order, is reported.
+    """
+    n = len(packed)
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        stripe = np.unpackbits(packed[i:j], axis=1, count=n, bitorder="little")
+        mirror = np.unpackbits(
+            packed[:, i // 8 : (j + 7) // 8], axis=1, count=j - i, bitorder="little"
+        )
+        unmatched = stripe > mirror.T
+        if unmatched.any():
+            u, v = divmod(int(unmatched.argmax()), n)
+            u += i
+            if u < v:
+                raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+            raise ValueError(f"asymmetric adjacency at ({u}, {v}) (unmatched lower-triangle bit)")
+
+
+def reference_validation_error(packed: np.ndarray) -> str | None:
+    """The message a Graph built from these (n, ceil(n/8)) packed rows must
+    raise, or None for a valid simple graph: bits past n first, then
+    self-loops, then asymmetry, each at its first row."""
+    n = len(packed)
+    cells = np.unpackbits(packed, axis=1, bitorder="little")
+    outside = cells[:, n:].any(axis=1)
+    if outside.any():
+        return f"row {int(outside.argmax())} has bits outside the vertex range"
+    loops = np.diagonal(cells)[:n]
+    if loops.any():
+        return f"self-loop at vertex {int(loops.argmax())}"
+    try:
+        reference_check_symmetric(packed)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def reference_compose(g: Graph, h: Graph) -> Graph:
+    """The composition g[h] built on Python-int rows: row i * |V(h)| + x is
+    h's row x shifted into copy i, OR-ed with the blocks of every copy j
+    adjacent to i in g."""
+    nh = h.n
+    block = (1 << nh) - 1
+    g_rows, h_rows = g.rows, h.rows
+    rows = []
+    for i in range(g.n):
+        cross = 0
+        for j in range(g.n):
+            if (g_rows[i] >> j) & 1:
+                cross |= block << (j * nh)
+        rows += [(row << (i * nh)) | cross for row in h_rows]
+    return Graph(g.n * nh, tuple(rows))
+
+
+def digit_rule_edge_list(base: Graph, level: int) -> str:
+    """Edge-list text of level ``level`` of base's nested blow-up, from the
+    digit rule: vertex ids are base-n numbers of level + 1 digits, and two
+    vertices are adjacent iff the base vertices at the most significant
+    digit where they differ are adjacent.  Uses no composition."""
+    n = base.n
+    order = n ** (level + 1)
+    adj = np.array([[has_edge(base, a, b) for b in range(n)] for a in range(n)], dtype=bool)
+    u, v = np.triu_indices(order, 1)
+    keep = np.zeros(len(u), dtype=bool)
+    decided = np.zeros(len(u), dtype=bool)
+    for k in range(level, -1, -1):
+        du, dv = u // n**k % n, v // n**k % n
+        here = ~decided & (du != dv)
+        keep[here] = adj[du[here], dv[here]]
+        decided |= here
+    lines = [str(order)] + [f"{a} {b}" for a, b in zip(u[keep].tolist(), v[keep].tolist())]
+    return "\n".join(lines) + "\n"

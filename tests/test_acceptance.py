@@ -345,3 +345,23 @@ def test_criterion_13_theta_level_four_diagonal():
         f"neighbourhoods, {diag.work['columns']} class columns multiplied) "
         f"{diag.value} == recurrence == derived in {diag.elapsed:.1f}s < 60s",
     )
+
+
+def test_criterion_14_level_six_and_five_builds():
+    # the packed build composes and validates c4 N=6 (16384 vertices) and
+    # theta N=5 (15625 vertices), each level built once from the one below
+    built = {}
+    for family, level in [(Family.C4, 6), (Family.THETA222, 5)]:
+        t0 = time.perf_counter()
+        g = nested_blowup(BlowupSpec(family, level))
+        elapsed = time.perf_counter() - t0
+        rule = _rule(family.value, level)
+        assert (g.n, g.edge_count, g.non_edge_count) == (rule.n, rule.edges, rule.m)
+        assert elapsed < 60.0
+        built[f"{family.value} N={level}"] = (g.n, elapsed)
+        del g
+    _report(
+        14,
+        ", ".join(f"{name} ({n} vertices) built in {t:.2f}s" for name, (n, t) in built.items())
+        + "; sizes == rule, each < 60s",
+    )

@@ -142,6 +142,21 @@ def test_formula_rejects_levels_beyond_cap(capsys):
     assert main(["formula", "--family", "c4", "--max-level", "31"]) == 2
 
 
+def test_verify_rejects_levels_beyond_cap():
+    # from about c4 level 1780 a count has more digits than Python converts
+    # to str; verify refuses such levels up front, as formula and sequence do
+    for level in ("31", "1800"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "blowup_census", "verify", "--family", "c4",
+             "--max-level", level, "--vertex-cap", "300", "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --max-level is capped at 30, got {level}\n"
+
+
 def test_sequence_c4(capsys):
     assert main(["sequence", "--family", "c4", "--max-level", "3"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()

@@ -34,10 +34,10 @@ from blowup_census import (
 )
 from blowup_census import counting
 from blowup_census.counting import _diagonal_raw, _diagonal_raw_sum, _pool_size, _twin_classes
-from blowup_census.graphs import _packed_rows
 from helpers import (
     brute_force_c4_count,
     dense_adjacency,
+    edges,
     random_graph,
     reference_diagonal_raw,
     relabel,
@@ -144,7 +144,7 @@ def test_enumeration_matches_brute_force():
             labels = boundary + rest
             rng.shuffle(labels)
             small = random_graph(16, p, 1000 * n + k)
-            g = Graph.from_edges(n, [(labels[u], labels[v]) for u, v in small.edges()])
+            g = Graph.from_edges(n, [(labels[u], labels[v]) for u, v in edges(small)])
             assert count_induced_c4_enum(g).value == brute_force_c4_count(small), (
                 f"n={n} p={p} labels={labels}"
             )
@@ -200,11 +200,12 @@ def _path_centres(g: Graph) -> list[str]:
     """For each induced 4-cycle {a < b < c < d} of g, found by brute force,
     the centre of the induced path on {a, b, c}: the one of them d does not see."""
     centres = []
+    rows = g.rows
     for quad in combinations(range(g.n), 4):
-        degrees = [sum((g.rows[u] >> v) & 1 for v in quad) for u in quad]
+        degrees = [sum((rows[u] >> v) & 1 for v in quad) for u in quad]
         if degrees == [2, 2, 2, 2]:
             *path, d = quad
-            centres.append("abc"[next(i for i, x in enumerate(path) if not (g.rows[x] >> d) & 1)])
+            centres.append("abc"[next(i for i, x in enumerate(path) if not (rows[x] >> d) & 1)])
     return centres
 
 
@@ -227,11 +228,11 @@ def test_enumeration_by_path_centre(centre, monkeypatch):
     boundary = [63, 64, 127, 128]
     slots = boundary + rng.sample([v for v in range(n) if v not in boundary], sum(sizes) - 4)
     rng.shuffle(slots)
-    edges = []
+    pairs = []
     for g, start in zip(parts, np.cumsum([0] + sizes[:-1]).tolist()):
         labels = sorted(slots[start : start + g.n])
-        edges += [(labels[u], labels[v]) for u, v in g.edges()]
-    whole = Graph.from_edges(n, edges)
+        pairs += [(labels[u], labels[v]) for u, v in edges(g)]
+    whole = Graph.from_edges(n, pairs)
     expected = sum(brute_force_c4_count(g) for g in parts)
     assert expected >= 16
     assert count_induced_c4_enum(whole).value == expected
@@ -282,17 +283,16 @@ def _planted_twin_graphs() -> list[Graph]:
 
 def _unequal_classes(g: Graph) -> bool:
     """Some neighbourhood holds two classes of equal rows of unequal sizes."""
-    size = {row: list(g.rows).count(row) for row in g.rows}
-    return any(
-        len({size[g.rows[w]] for w in range(g.n) if (row >> w) & 1}) > 1 for row in g.rows
-    )
+    rows = g.rows
+    size = {row: rows.count(row) for row in rows}
+    return any(len({size[rows[w]] for w in range(g.n) if (row >> w) & 1}) > 1 for row in rows)
 
 
 def test_grouped_diagonal_matches_per_vertex_reference():
     graphs = _planted_twin_graphs()
     grouped = unequal = 0
     for g in graphs:
-        raw = _diagonal_raw(_packed_rows(g.n, g.rows))
+        raw = _diagonal_raw(g.packed)
         assert raw == reference_diagonal_raw(dense_adjacency(g)), f"n={g.n} rows={g.rows}"
         if g.n <= 14:
             assert raw // 2 == count_induced_c4_diagonal(g).value == brute_force_c4_count(g)
@@ -317,7 +317,7 @@ def test_grouped_diagonal_on_twin_classes(g, expected):
     perm = list(range(g.n))
     random.Random(g.n).shuffle(perm)
     for h in (g, relabel(g, perm)):
-        raw = _diagonal_raw(_packed_rows(h.n, h.rows))
+        raw = _diagonal_raw(h.packed)
         assert raw == reference_diagonal_raw(dense_adjacency(h)) == 2 * expected
         assert count_induced_c4_diagonal(h).value == brute_force_c4_count(h) == expected
 
@@ -331,7 +331,7 @@ def _row_classes(g: Graph) -> list[list[int]]:
 
 def test_neighbourhood_classes_keep_the_smallest_id():
     for g in _planted_twin_graphs():
-        reps, size = _twin_classes(_packed_rows(g.n, g.rows))
+        reps, size = _twin_classes(g.packed)
         classes = _row_classes(g)
         assert reps.tolist() == [ids[0] for ids in classes]
         assert dict(zip(reps.tolist(), size.tolist())) == {ids[0]: len(ids) for ids in classes}
@@ -345,9 +345,10 @@ def test_diagonal_work_counters():
     for g in _planted_twin_graphs():
         classes = _row_classes(g)
         reps = [ids[0] for ids in classes]
+        adjacency = g.rows
         rows = columns = 0
         for i, ids in enumerate(classes):
-            row = g.rows[ids[0]]
+            row = adjacency[ids[0]]
             if row.bit_count() < 2:
                 continue
             product = sum(1 for v in reps[i + 1 :] if not (row >> v) & 1) + (len(ids) > 1)
@@ -362,13 +363,13 @@ def test_diagonal_work_counters():
             # twin-free: a row per non-edge {u, v > u} with deg(u) >= 2, as
             # per vertex, and deg(u) columns for every u that gets a product
             far = [
-                [v for v in range(u + 1, g.n) if not (g.rows[u] >> v) & 1]
-                if g.rows[u].bit_count() >= 2
+                [v for v in range(u + 1, g.n) if not (adjacency[u] >> v) & 1]
+                if adjacency[u].bit_count() >= 2
                 else []
                 for u in range(g.n)
             ]
             assert rows == sum(map(len, far))
-            assert columns == sum(g.rows[u].bit_count() for u in range(g.n) if far[u])
+            assert columns == sum(adjacency[u].bit_count() for u in range(g.n) if far[u])
     assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5}
     assert count_induced_c4_enum(cycle_graph(3)).work == {"subsets": 0}
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -33,10 +36,14 @@ from blowup_census import (
 from helpers import (
     blob_of,
     degree_sequence,
+    digit_rule_edge_list,
+    edges,
     has_edge,
     neighbors,
     random_graph,
+    reference_compose,
     reference_read_edge_list,
+    reference_validation_error,
     relabel,
 )
 
@@ -161,7 +168,7 @@ def test_narrow_stripes_accept_valid_graphs(monkeypatch):
     graphs = [random_graph(n, p, seed) for seed, (n, p) in enumerate(sizes)]
     monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", 1)
     for g in graphs:
-        assert Graph(g.n, g.rows).edge_count == g.edge_count == sum(1 for _ in g.edges())
+        assert Graph(g.n, g.rows).edge_count == g.edge_count == len(edges(g))
 
 
 def test_validation_across_default_stripes():
@@ -176,6 +183,74 @@ def test_validation_across_default_stripes():
         Graph(g.n, _corrupt(g, add=[(far, 0)]))
     with pytest.raises(ValueError, match=f"self-loop at vertex {g.n - 1}"):
         Graph(g.n, _corrupt(g, add=[(g.n - 1, g.n - 1)]))
+
+
+def _validation_outcome(packed: np.ndarray) -> str | None:
+    try:
+        Graph._from_packed(packed)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _block_edge(rng: random.Random, n: int) -> int:
+    """A vertex id on the edge of an 8 x 8 block: 8a or 8a + 7, below n."""
+    return min(8 * rng.randrange((n + 7) // 8) + rng.choice((0, 7)), n - 1)
+
+
+def test_packed_validator_matches_reference(monkeypatch):
+    # seeded graphs of 0..70 vertices, each with single bits flipped above
+    # and below the diagonal, on it, in the padding past n and on the edges
+    # of 8 x 8 blocks, and with one mirrored pair flipped, which keeps the
+    # graph simple; every third graph is checked in 8-row stripes
+    rng = random.Random(4417)
+    kinds: Counter[str] = Counter()
+    for seed in range(330):
+        n = seed % 71
+        g = random_graph(n, rng.random(), seed)
+        monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", 1 if seed % 3 == 0 else 1 << 22)
+        assert _validation_outcome(g.packed.copy()) is reference_validation_error(g.packed) is None
+        flips: list[tuple[str, list[tuple[int, int]]]] = []
+        if n >= 2:
+            u, v = sorted(rng.sample(range(n), 2))
+            flips += [("above", [(u, v)]), ("below", [(v, u)]), ("mirrored", [(u, v), (v, u)])]
+            u, v = _block_edge(rng, n), _block_edge(rng, n)
+            if u != v:
+                flips.append(("block edge", [(u, v)]))
+        if n >= 1:
+            flips.append(("diagonal", [(rng.randrange(n), None)]))
+        if n & 7:
+            flips.append(("padding", [(rng.randrange(n), rng.randrange(n, (n + 7) // 8 * 8))]))
+        for kind, cells in flips:
+            packed = g.packed.copy()
+            for u, v in cells:
+                v = u if v is None else v
+                packed[u, v >> 3] ^= 1 << (v & 7)
+            expected = reference_validation_error(packed)
+            assert (expected is None) == (kind == "mirrored"), (n, kind, cells)
+            assert _validation_outcome(packed) == expected, (n, kind, cells)
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 150 and len(kinds) == 6, kinds
+
+
+def test_validation_survives_python_optimize():
+    # the checks raise ValueError, never bare asserts that -O would strip
+    code = (
+        "import numpy as np\n"
+        "from blowup_census import Graph\n"
+        "for make in (lambda: Graph(3, (0b010, 0, 0)),\n"
+        "             lambda: Graph._from_packed(np.array([[0], [1], [0]], np.uint8))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "asymmetric adjacency at (0, 1)",
+        "asymmetric adjacency at (1, 0) (unmatched lower-triangle bit)",
+    ]
 
 
 def test_from_edges_rejects_bad_input():
@@ -248,6 +323,19 @@ def test_compose_edge_rule_exhaustive():
                         continue
                     expected = has_edge(g, i, j) if i != j else has_edge(h, x, y)
                     assert has_edge(gh, i * h.n + x, j * h.n + y) == expected
+
+
+def test_compose_matches_int_row_reference():
+    # random pairs of unequal orders, so copies start at every bit offset
+    # within a byte, and the same pairs relabelled
+    rng = random.Random(7331)
+    for trial in range(120):
+        g = random_graph(rng.randint(1, 12), rng.random(), rng.randrange(1 << 30))
+        h = random_graph(rng.randint(1, 19), rng.random(), rng.randrange(1 << 30))
+        if trial % 2:
+            g = relabel(g, rng.sample(range(g.n), g.n))
+            h = relabel(h, rng.sample(range(h.n), h.n))
+        assert compose(g, h) == reference_compose(g, h), (trial, g.rows, h.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +590,9 @@ def _decorated_edge_list(rng: random.Random, g: Graph) -> str:
     filler = ["", " \t", "# note", "  # indented", "\t#"]
     lines = [rng.choice(filler) for _ in range(rng.randint(0, 2))]
     lines.append(rng.choice(pad) + str(g.n) + rng.choice(pad))
-    edges = list(g.edges())
-    rng.shuffle(edges)
-    for u, v in edges:
+    pairs = edges(g)
+    rng.shuffle(pairs)
+    for u, v in pairs:
         while rng.random() < 0.15:
             lines.append(rng.choice(filler))
         lines.append(rng.choice(pad) + str(u) + rng.choice(sep) + str(v) + rng.choice(pad))
@@ -555,7 +643,7 @@ def test_read_edge_list_matches_reference_parser():
 
 def _reference_edge_list(g: Graph) -> str:
     """The edge-list format spelled out with the per-edge iterator."""
-    return "\n".join([str(g.n)] + [f"{u} {v}" for u, v in g.edges()]) + "\n"
+    return "\n".join([str(g.n)] + [f"{u} {v}" for u, v in edges(g)]) + "\n"
 
 
 def _numpy_random_graph(n: int, p: float, seed: int) -> Graph:
@@ -611,6 +699,12 @@ def test_edge_list_chunks_stream_in_bounded_memory():
 def test_write_edge_list_matches_reference_blowups(family, level):
     g = nested_blowup(BlowupSpec(family, level))
     assert write_edge_list(g) == _reference_edge_list(g)
+
+
+@pytest.mark.parametrize("family", [Family.C4, Family.THETA222])
+def test_write_edge_list_matches_digit_rule(family):
+    spec = BlowupSpec(family, 3)
+    assert write_edge_list(nested_blowup(spec)) == digit_rule_edge_list(spec.base, 3)
 
 
 @given(st.integers(0, 123456))

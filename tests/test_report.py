@@ -234,3 +234,69 @@ def test_render_summary_mentions_findings_and_result():
     assert "result: PASS" in text
     assert "closed_stated_vs_recurrence" in text
     assert "10752/5670" in text
+
+
+def _spy(monkeypatch, module, name: str, calls: list[str]) -> None:
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def _spy_on_builds_and_counts(monkeypatch) -> list[str]:
+    from blowup_census import formulas, report
+
+    calls: list[str] = []
+    for module, name in [
+        (report, "compose"),
+        (report, "count_induced_c4_enum"),
+        (report, "count_induced_c4_diagonal"),
+        (formulas, "count_induced_c4_diagonal"),
+    ]:
+        _spy(monkeypatch, module, name, calls)
+    return calls
+
+
+def test_each_level_is_composed_once_and_counted_once(monkeypatch):
+    # level N is the base composed with level N - 1, and the base's count
+    # for the rule is level 0's enumeration count, not a count of its own
+    calls = _spy_on_builds_and_counts(monkeypatch)
+    report = build_report(_config(max_level=3))
+    assert calls.count("compose") == 3
+    assert calls.count("count_induced_c4_enum") == calls.count("count_induced_c4_diagonal") == 4
+    assert report.passed
+    assert [rec.T_enum for rec in report.levels] == [1, 404, 114512, 30051648]
+    assert [set(rec.timings) >= {"build", "enum", "diagonal"} for rec in report.levels] == [True] * 4
+
+
+def test_base_count_falls_back_to_the_diagonal_counter(monkeypatch):
+    # C(8, 4) = 70 subsets exceed the cap: the rule takes the base's count
+    # from level 0's diagonal count, and level 0 still agrees with the rule
+    # at every level checked
+    base = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)])
+    calls = _spy_on_builds_and_counts(monkeypatch)
+    report = build_report(_config(family=Family.CUSTOM, subset_cap=69), custom_base=base)
+    assert calls.count("count_induced_c4_enum") == 0
+    assert calls.count("count_induced_c4_diagonal") == 2
+    assert report.passed
+    assert [rec.T_enum for rec in report.levels] == [SKIPPED_CAP] * 2
+    assert report.levels[0].T_diagonal == report.levels[0].T_recurrence == 2
+
+
+def test_refused_enumeration_alone_leaves_the_base_to_the_diagonal_counter(monkeypatch):
+    # only enumeration is requested and the subset cap refuses it at level 0,
+    # so the rule counts the base with the diagonal counter, not with an
+    # enumeration beyond --subset-cap
+    base = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)])
+    calls = _spy_on_builds_and_counts(monkeypatch)
+    config = _config(family=Family.CUSTOM, methods=("enum",), subset_cap=69)
+    report = build_report(config, custom_base=base)
+    assert calls.count("count_induced_c4_enum") == 0
+    assert calls.count("count_induced_c4_diagonal") == 1
+    assert [rec.T_enum for rec in report.levels] == [SKIPPED_CAP] * 2
+    assert [rec.T_diagonal for rec in report.levels] == [SKIPPED_NOT_REQUESTED] * 2
+    assert report.levels[0].T_recurrence == 2
+    assert [set(rec.timings) & {"enum", "diagonal"} for rec in report.levels] == [set()] * 2
