@@ -13,7 +13,7 @@ import io
 import json
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .counting import (
     DEFAULT_SUBSET_CAP,
@@ -43,32 +43,37 @@ __all__ = ["main"]
 def _add_cap_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--vertex-cap",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_VERTEX_CAP,
         help="refuse to build graphs with more vertices than this (default %(default)s)",
     )
     p.add_argument(
         "--subset-cap",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_SUBSET_CAP,
         help="refuse enumeration over more 4-subsets than this (default %(default)s)",
     )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help="worker processes for the enumeration counter, capped at the core "
         "count; results are identical for any count",
@@ -85,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a blow-up graph as an edge-list file")
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_at_least(0), required=True)
     p.add_argument("--input", help="base-graph edge list (custom family only)")
     p.add_argument("--out", required=True, help="output edge-list path")
     _add_cap_flags(p)
@@ -93,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count induced 4-cycles in a graph")
     p.add_argument("--family", choices=[f.value for f in Family])
-    p.add_argument("--level", type=int)
+    p.add_argument("--level", type=_int_at_least(0))
     p.add_argument("--input", help="edge-list file to count on (or custom base with --level)")
     p.add_argument("--method", choices=["enum", "diagonal", "both"], default="both")
     p.add_argument("--format", choices=["text", "json"], default="text")

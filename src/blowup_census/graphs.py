@@ -363,14 +363,6 @@ class BlowupSpec:
             raise ValueError("base graph must be non-empty")
 
     @property
-    def base_order(self) -> int:
-        return self.base.n
-
-    @property
-    def blob_order(self) -> int:
-        return self.base.n**self.level
-
-    @property
     def total_order(self) -> int:
         return self.base.n ** (self.level + 1)
 

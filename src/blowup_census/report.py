@@ -19,8 +19,9 @@ import os
 import platform
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
+from enum import Enum
 from math import comb
 from typing import Any
 
@@ -29,6 +30,7 @@ import numpy as np
 from ._version import __version__
 from .counting import (
     DEFAULT_SUBSET_CAP,
+    Method,
     count_induced_c4_diagonal,
     count_induced_c4_enum,
 )
@@ -64,7 +66,7 @@ _RATIONAL_RE = re.compile(r"-?\d+/\d+")
 class RunConfig:
     family: Family
     max_level: int
-    methods: tuple[str, ...] = ("enum", "diagonal")
+    methods: tuple[Method, ...] = (Method.ENUMERATION, Method.DIAGONAL)
     vertex_cap: int = DEFAULT_VERTEX_CAP
     subset_cap: int = DEFAULT_SUBSET_CAP
     workers: int = 1
@@ -72,7 +74,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # Method() refuses a name that is not a counter's
+        object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
+        if not self.methods:
+            raise ValueError("methods must name at least one counter")
         if self.max_level < 0:
             raise ValueError("max_level must be nonnegative")
         if self.vertex_cap <= 0 or self.subset_cap <= 0:
@@ -103,6 +108,7 @@ class LevelRecord:
     breakdown: TermBreakdown | None
     match_flags: dict[str, bool | str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    # reports written before work counters existed have none
     work: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
@@ -114,26 +120,26 @@ class VerificationReport:
     findings: list[Finding]
     meta: dict[str, Any]
 
+    def failures(self) -> list[tuple[int, str]]:
+        """(level, comparison) of every oracle-backed comparison that failed;
+        stated-variant mismatches are findings, not failures."""
+        return [
+            (rec.N, key)
+            for rec in self.levels
+            for key, flag in rec.match_flags.items()
+            if flag is False and not key.startswith("closed_stated")
+        ]
+
     @property
     def passed(self) -> bool:
-        """True iff no oracle-backed comparison failed (stated-variant
-        mismatches are findings, not failures)."""
-        for rec in self.levels:
-            for key, flag in rec.match_flags.items():
-                if flag is False and not key.startswith("closed_stated"):
-                    return False
-        return True
+        """True iff ``failures()`` is empty."""
+        return not self.failures()
 
     # -- serialization ------------------------------------------------------
+    # The JSON layout is the field order of the dataclasses above.
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "family": self.family,
-            "config": _encode_config(self.config),
-            "levels": [_encode_level(rec) for rec in self.levels],
-            "findings": [asdict(f) for f in self.findings],
-            "meta": dict(self.meta),
-        }
+        return _plain(self)
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -142,7 +148,7 @@ class VerificationReport:
     def from_json_dict(cls, d: dict[str, Any]) -> "VerificationReport":
         return cls(
             family=d["family"],
-            config=_decode_config(d["config"]),
+            config=RunConfig(**d["config"]),
             levels=[_decode_level(rec) for rec in d["levels"]],
             findings=[Finding(**f) for f in d["findings"]],
             meta=dict(d["meta"]),
@@ -163,80 +169,38 @@ class VerificationReport:
         return d
 
 
-def _encode_value(v: Any) -> Any:
+def _plain(v: Any) -> Any:
+    """``v`` as JSON values: dataclasses by their fields in order, a
+    Rational as "p/q", an enum as its value, a tuple as a list."""
     if isinstance(v, Rational):
         return str(v)
+    if is_dataclass(v):
+        return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
     return v
 
 
-def _decode_value(v: Any) -> Any:
+def _decode_rational(v: Any) -> Any:
     if isinstance(v, str) and _RATIONAL_RE.fullmatch(v):
         num, den = v.split("/")
         return Rational(int(num), int(den))
     return v
 
 
-def _encode_level(rec: LevelRecord) -> dict[str, Any]:
-    return {
-        "N": rec.N,
-        "vertices": rec.vertices,
-        "edges": rec.edges,
-        "non_edges_graph": rec.non_edges_graph,
-        "non_edges_formula": rec.non_edges_formula,
-        "T_enum": rec.T_enum,
-        "T_diagonal": rec.T_diagonal,
-        "T_recurrence": rec.T_recurrence,
-        "T_closed_stated": _encode_value(rec.T_closed_stated),
-        "T_closed_derived": _encode_value(rec.T_closed_derived),
-        "breakdown": None if rec.breakdown is None else asdict(rec.breakdown),
-        "match_flags": dict(rec.match_flags),
-        "timings": dict(rec.timings),
-        "work": {method: dict(counts) for method, counts in rec.work.items()},
-    }
-
-
 def _decode_level(d: dict[str, Any]) -> LevelRecord:
     breakdown = d["breakdown"]
     return LevelRecord(
-        N=d["N"],
-        vertices=d["vertices"],
-        edges=d["edges"],
-        non_edges_graph=d["non_edges_graph"],
-        non_edges_formula=d["non_edges_formula"],
-        T_enum=d["T_enum"],
-        T_diagonal=d["T_diagonal"],
-        T_recurrence=d["T_recurrence"],
-        T_closed_stated=_decode_value(d["T_closed_stated"]),
-        T_closed_derived=_decode_value(d["T_closed_derived"]),
-        breakdown=None if breakdown is None else TermBreakdown(**breakdown),
-        match_flags=dict(d["match_flags"]),
-        timings=dict(d["timings"]),
-        # reports written before work counters existed have none
-        work={method: dict(counts) for method, counts in d.get("work", {}).items()},
-    )
-
-
-def _encode_config(cfg: RunConfig) -> dict[str, Any]:
-    return {
-        "family": cfg.family.value,
-        "max_level": cfg.max_level,
-        "methods": list(cfg.methods),
-        "vertex_cap": cfg.vertex_cap,
-        "subset_cap": cfg.subset_cap,
-        "workers": cfg.workers,
-        "input_path": cfg.input_path,
-    }
-
-
-def _decode_config(d: dict[str, Any]) -> RunConfig:
-    return RunConfig(
-        family=Family(d["family"]),
-        max_level=d["max_level"],
-        methods=tuple(d["methods"]),
-        vertex_cap=d["vertex_cap"],
-        subset_cap=d["subset_cap"],
-        workers=d["workers"],
-        input_path=d["input_path"],
+        **{
+            **d,
+            "T_closed_stated": _decode_rational(d["T_closed_stated"]),
+            "T_closed_derived": _decode_rational(d["T_closed_derived"]),
+            "breakdown": None if breakdown is None else TermBreakdown(**breakdown),
+        }
     )
 
 
@@ -246,7 +210,8 @@ def _decode_config(d: dict[str, Any]) -> RunConfig:
 
 
 def _compare(a: Any, b: Any) -> bool | str:
-    """Match flag for two values; a skip marker on either side propagates."""
+    """Match flag for two values; a skip marker on either side propagates.
+    A non-integer closed form, a Rational, never equals an integer count."""
     if isinstance(a, str):
         return a
     if isinstance(b, str):
@@ -254,24 +219,17 @@ def _compare(a: Any, b: Any) -> bool | str:
     return a == b
 
 
-def _closed_matches(closed: int | Rational, reference: int) -> bool:
-    if isinstance(closed, Rational):
-        return False
-    return closed == reference
-
-
 def _build_level(
-    spec: BlowupSpec, below: Graph | None, config: RunConfig, rules: list[LevelCounts], findings: list[Finding]
+    base: Graph, n: int, below: Graph | None, config: RunConfig, rules: list[LevelCounts], findings: list[Finding]
 ) -> tuple[LevelRecord, Graph | None]:
-    """One level's record and graph (None over the vertex cap): the base
+    """Level ``n``'s record and graph (None over the vertex cap): ``base``
     composed with ``below``, the graph of the level under it.  ``rules``, the
     counts of every level by the composition rule, is filled at level 0 from
     the base's own counts there, so each counter runs once on the base."""
-    bundle = FORMULAS.get(spec.family.value)
-    order = spec.total_order
+    bundle = FORMULAS.get(config.family.value)
+    order = base.n ** (n + 1)
     timings: dict[str, float] = {}
     work: dict[str, dict[str, int]] = {}
-    n = spec.level
 
     if bundle is not None:
         t0 = time.perf_counter()
@@ -284,36 +242,28 @@ def _build_level(
     graph: Graph | None = None
     if order <= config.vertex_cap:
         t0 = time.perf_counter()
-        graph = spec.base if n == 0 else compose(spec.base, below)
+        graph = base if n == 0 else compose(base, below)
         timings["build"] = time.perf_counter() - t0
 
-    t_enum: int | str
-    if "enum" not in config.methods:
-        t_enum = SKIPPED_NOT_REQUESTED
-    elif graph is None or comb(order, 4) > config.subset_cap:
-        t_enum = SKIPPED_CAP
-    else:
-        result = count_induced_c4_enum(
-            graph, subset_cap=config.subset_cap, workers=config.workers
-        )
-        t_enum = result.value
-        timings["enum"] = result.elapsed
-        work["enum"] = result.work
-
-    t_diag: int | str
-    if "diagonal" not in config.methods:
-        t_diag = SKIPPED_NOT_REQUESTED
-    elif graph is None:
-        t_diag = SKIPPED_CAP
-    else:
-        result = count_induced_c4_diagonal(graph)
-        t_diag = result.value
-        timings["diagonal"] = result.elapsed
-        work["diagonal"] = result.work
+    counts: list[int | str] = []
+    for method in Method:
+        if method not in config.methods:
+            counts.append(SKIPPED_NOT_REQUESTED)
+        elif graph is None or (method is Method.ENUMERATION and comb(order, 4) > config.subset_cap):
+            counts.append(SKIPPED_CAP)
+        else:
+            if method is Method.ENUMERATION:
+                result = count_induced_c4_enum(graph, subset_cap=config.subset_cap, workers=config.workers)
+            else:
+                result = count_induced_c4_diagonal(graph)
+            counts.append(result.value)
+            timings[method.value] = result.elapsed
+            work[method.value] = result.work
+    t_enum, t_diag = counts
 
     if not rules:
-        base_T = next((t for t in (t_enum, t_diag) if isinstance(t, int)), None)
-        rules.extend(blowup_levels(base_invariants(spec.base, base_T), config.max_level))
+        base_T = next((t for t in counts if isinstance(t, int)), None)
+        rules.extend(blowup_levels(base_invariants(base, base_T), config.max_level))
     rule = rules[n]
     ne_graph: int | str = SKIPPED_CAP if graph is None else graph.non_edge_count
     edges: int | str = rule.edges if graph is None else graph.edge_count
@@ -351,10 +301,7 @@ def _build_level(
 
     flags: dict[str, bool | str] = {}
     for key, (observed, expected, note) in comparisons.items():
-        if key.startswith("closed_"):
-            flags[key] = _closed_matches(observed, expected)
-        else:
-            flags[key] = _compare(observed, expected)
+        flags[key] = _compare(observed, expected)
         if flags[key] is False:
             findings.append(Finding(n, key, str(observed), str(expected), note))
 
@@ -399,13 +346,13 @@ def build_report(config: RunConfig, custom_base: Graph | None = None) -> Verific
     """Run the full verification pipeline described by ``config``."""
     if config.family is Family.CUSTOM and custom_base is None:
         raise ValueError("custom family requires a base graph")
-    base = custom_base if config.family is Family.CUSTOM else None
+    base = BlowupSpec(config.family, 0, custom_base if config.family is Family.CUSTOM else None).base
     findings: list[Finding] = []
     rules: list[LevelCounts] = []
     levels: list[LevelRecord] = []
     graph: Graph | None = None
     for n in range(config.max_level + 1):
-        record, graph = _build_level(BlowupSpec(config.family, n, base), graph, config, rules, findings)
+        record, graph = _build_level(base, n, graph, config, rules, findings)
         levels.append(record)
     meta = {
         "tool": "blowup-census",
@@ -472,17 +419,12 @@ def render_summary(report: VerificationReport) -> str:
     lines = [f"family={report.family}  levels=0..{report.config.max_level}"]
     for r in rows:
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
-    fails = [
-        (rec.N, key)
-        for rec in report.levels
-        for key, flag in rec.match_flags.items()
-        if flag is False and not key.startswith("closed_stated")
-    ]
     if report.findings:
         lines.append("findings:")
         for f in report.findings:
             lines.append(
                 f"  level {f.level}: {f.comparison}: {f.observed} != {f.expected} ({f.note})"
             )
-    lines.append("result: " + ("PASS" if report.passed else f"FAIL {fails}"))
+    fails = report.failures()
+    lines.append("result: " + (f"FAIL {fails}" if fails else "PASS"))
     return "\n".join(lines)

@@ -44,7 +44,7 @@ def blob_of(v: int, spec: BlowupSpec) -> int:
     """Index of the blob (base vertex) whose copy contains vertex v."""
     if not 0 <= v < spec.total_order:
         raise IndexError(f"vertex {v} out of range for order {spec.total_order}")
-    return v // spec.blob_order
+    return v // spec.base.n**spec.level
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -259,15 +260,34 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["count", "verify"])
-@pytest.mark.parametrize("workers", ["0", "-3", "two"])
-def test_workers_below_one_rejected(command, workers, capsys):
-    argv = [command, "--family", "c4", "--workers", workers]
-    argv += ["--level", "0"] if command == "count" else ["--max-level", "0"]
+_LEVEL_ARGS = {
+    "generate": ["--level", "0", "--out", os.devnull],
+    "count": ["--level", "0"],
+    "verify": ["--max-level", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param(command, "--workers", workers, id=f"{workers}-{command}")
+        for workers in ["0", "-3", "two"]
+        for command in ["count", "verify"]
+    ]
+    + [
+        ("generate", "--level", "-1"),
+        ("count", "--level", "-2"),
+        ("verify", "--vertex-cap", "0"),
+        ("verify", "--subset-cap", "0"),
+    ],
+)
+def test_workers_below_one_rejected(command, flag, value, capsys):
+    # a later occurrence of --level is parsed too, so it is refused
+    argv = [command, "--family", "c4", *_LEVEL_ARGS[command], flag, value]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -345,8 +345,7 @@ def test_compose_matches_int_row_reference():
 
 def test_blowup_spec_orders():
     spec = BlowupSpec(Family.C4, 2)
-    assert (spec.base_order, spec.blob_order, spec.total_order) == (4, 16, 64)
-    assert spec.total_order == spec.base_order * spec.blob_order
+    assert (spec.base.n, spec.base.n**spec.level, spec.total_order) == (4, 16, 64)
     spec = BlowupSpec(Family.THETA222, 1)
     assert spec.total_order == 25
 
@@ -386,9 +385,9 @@ def test_blob_structure(family):
     spec = BlowupSpec(family, 2)
     g = nested_blowup(spec)
     prev = nested_blowup(BlowupSpec(family, 1))
-    size = spec.blob_order
+    size = spec.base.n**spec.level
     base = spec.base
-    for b in range(spec.base_order):
+    for b in range(base.n):
         lo = b * size
         for x in range(size):
             row = (g.rows[lo + x] >> lo) & ((1 << size) - 1)

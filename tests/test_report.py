@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_json_roundtrip_equality():
     assert restored == report
     # and the rendered JSON is actually valid JSON with the documented top level
     assert sorted(json.loads(text)) == ["config", "family", "findings", "levels", "meta"]
+    # a level key that is no field of LevelRecord is refused, not dropped
+    d = json.loads(text)
+    d["levels"][0]["T_other"] = 1
+    with pytest.raises(TypeError):
+        VerificationReport.from_json_dict(d)
+
+
+def test_json_layout_is_frozen():
+    # the key order is the dataclass field order; the text was written by an
+    # earlier encoder that listed every key by hand
+    golden = Path(__file__).with_name("data") / "verify_c4_max_level_2.json"
+    report = build_report(_config(max_level=2))
+    assert json.dumps(report.comparable_dict(), indent=2) + "\n" == golden.read_text()
+    restored = VerificationReport.from_json(report.to_json())
+    assert restored == report
+    assert [type(rec.T_closed_stated) for rec in restored.levels] == [Rational] * 3
 
 
 def test_meta_contents():
@@ -226,6 +243,11 @@ def test_run_config_validation():
         RunConfig(family=Family.C4, max_level=-1)
     with pytest.raises(ValueError):
         RunConfig(family=Family.C4, max_level=0, vertex_cap=0)
+    # a report with no counter, or a misspelt one, would pass unchecked
+    with pytest.raises(ValueError):
+        RunConfig(family=Family.C4, max_level=1, methods=())
+    with pytest.raises(ValueError):
+        RunConfig(family=Family.C4, max_level=1, methods=("enumeration",))
 
 
 def test_render_summary_mentions_findings_and_result():
