@@ -15,23 +15,16 @@ import re
 import sys
 from typing import Callable, Sequence
 
-from .counting import (
-    DEFAULT_SUBSET_CAP,
-    CounterMismatchError,
-    CountParityError,
-    SubsetCapExceeded,
-    count_induced_c4_diagonal,
-    count_induced_c4_enum,
-)
+from .counting import DEFAULT_SUBSET_CAP, CountParityError, Method, SubsetCapExceeded, count_induced_c4
 from .formulas import FORMULA_LEVEL_CAP, FORMULAS, Rational, Variant, blowup_levels
 from .graphs import (
     DEFAULT_VERTEX_CAP,
-    BlowupSpec,
     Family,
     Graph,
     GraphFormatError,
     VertexCapExceeded,
     _edge_list_chunks,
+    base_graph,
     nested_blowup,
     read_edge_list,
 )
@@ -109,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="tabulate the exact formulas per level")
     p.add_argument("--family", choices=list(FORMULAS), required=True)
-    p.add_argument("--max-level", type=int, required=True)
+    p.add_argument("--max-level", type=_int_at_least(0), required=True)
     p.add_argument("--variant", choices=["stated", "derived", "both"], default="both")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.add_argument("--out", help="write the table here instead of stdout")
@@ -117,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-verify formulas against graph counts")
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p.add_argument("--max-level", type=int, required=True)
+    p.add_argument("--max-level", type=_int_at_least(0), required=True)
     p.add_argument("--input", help="base-graph edge list (custom family only)")
     p.add_argument("--method", choices=["enum", "diagonal", "both"], default="both")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -128,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sequence", help="CSV of per-level counts from the formulas")
     p.add_argument("--family", choices=list(FORMULAS), required=True)
-    p.add_argument("--max-level", type=int, required=True)
+    p.add_argument("--max-level", type=_int_at_least(0), required=True)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_sequence)
 
@@ -149,19 +142,14 @@ def _load_graph(path: str, vertex_cap: int) -> Graph:
 
 
 def _custom_base(args) -> Graph | None:
-    """The base graph read from ``--input`` for the custom family; None for a
-    named family, which takes no ``--input``."""
-    if Family(args.family) is Family.CUSTOM:
-        if not args.input:
-            raise GraphFormatError("custom family requires --input with a base edge list")
-        return _load_graph(args.input, args.vertex_cap)
-    if args.input:
-        raise GraphFormatError("--input is only valid with --family custom")
-    return None
+    """The graph read from ``--input``, None without one; ``base_graph``
+    decides whether the family takes it."""
+    return _load_graph(args.input, args.vertex_cap) if args.input else None
 
 
-def _resolve_spec(args) -> BlowupSpec:
-    return BlowupSpec(Family(args.family), args.level, _custom_base(args))
+def _methods(choice: str) -> tuple[Method, ...]:
+    """The counters that ``--method`` names."""
+    return tuple(Method) if choice == "both" else (Method(choice),)
 
 
 def _check_formula_level(max_level: int) -> None:
@@ -169,8 +157,6 @@ def _check_formula_level(max_level: int) -> None:
         raise VertexCapExceeded(
             f"--max-level is capped at {FORMULA_LEVEL_CAP}, got {max_level}"
         )
-    if max_level < 0:
-        raise GraphFormatError("--max-level must be nonnegative")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -189,11 +175,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    spec = _resolve_spec(args)
-    g = nested_blowup(spec, vertex_cap=args.vertex_cap)
+    base = base_graph(args.family, _custom_base(args))
+    g = nested_blowup(base, args.level, vertex_cap=args.vertex_cap)
     with open(args.out, "wb") as fh:
         fh.writelines(_edge_list_chunks(g))
-    print(f"{spec.family.value} level {spec.level}: {g.n} vertices, {g.edge_count} edges -> {args.out}")
+    print(f"{args.family} level {args.level}: {g.n} vertices, {g.edge_count} edges -> {args.out}")
     return 0
 
 
@@ -204,24 +190,18 @@ def _cmd_count(args) -> int:
     elif args.family:
         if args.level is None:
             raise GraphFormatError("count needs --level together with --family")
-        spec = _resolve_spec(args)
-        graph = nested_blowup(spec, vertex_cap=args.vertex_cap)
-        source = {"family": spec.family.value, "level": spec.level}
+        base = base_graph(args.family, _custom_base(args))
+        graph = nested_blowup(base, args.level, vertex_cap=args.vertex_cap)
+        source = {"family": args.family, "level": args.level}
     elif args.input:
         raise GraphFormatError("--level with --input needs --family custom")
     else:
         raise GraphFormatError("count needs either --input or --family/--level")
 
-    methods = ["enum", "diagonal"] if args.method == "both" else [args.method]
-    results = []
-    for method in methods:
-        if method == "enum":
-            res = count_induced_c4_enum(
-                graph, subset_cap=args.subset_cap, workers=args.workers
-            )
-        else:
-            res = count_induced_c4_diagonal(graph)
-        results.append(res)
+    results = [
+        count_induced_c4(graph, method, subset_cap=args.subset_cap, workers=args.workers)
+        for method in _methods(args.method)
+    ]
 
     agreed = len({r.value for r in results}) == 1
     record = {
@@ -291,19 +271,16 @@ def _cmd_formula(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_formula_level(args.max_level)
-    custom_base = _custom_base(args)
-    family = Family(args.family)
-    methods = ("enum", "diagonal") if args.method == "both" else (args.method,)
     config = RunConfig(
-        family=family,
+        family=args.family,
         max_level=args.max_level,
-        methods=methods,
+        methods=_methods(args.method),
         vertex_cap=args.vertex_cap,
         subset_cap=args.subset_cap,
         workers=args.workers,
         input_path=args.input,
     )
-    report = build_report(config, custom_base=custom_base)
+    report = build_report(config, custom_base=_custom_base(args))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(report.to_json())
@@ -336,7 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GraphFormatError, VertexCapExceeded, SubsetCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CounterMismatchError, CountParityError) as exc:
+    except CountParityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

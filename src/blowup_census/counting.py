@@ -45,13 +45,11 @@ from .graphs import Graph, VertexCapExceeded
 
 __all__ = [
     "DEFAULT_SUBSET_CAP",
-    "CheckedCount",
     "CountParityError",
     "CountResult",
-    "CounterMismatchError",
     "Method",
     "SubsetCapExceeded",
-    "count_both_and_check",
+    "count_induced_c4",
     "count_induced_c4_diagonal",
     "count_induced_c4_enum",
 ]
@@ -66,18 +64,6 @@ class SubsetCapExceeded(RuntimeError):
 
 class CountParityError(RuntimeError):
     """A parity invariant of the diagonal counter failed: a bug, never a data issue."""
-
-
-class CounterMismatchError(RuntimeError):
-    """The two counters disagreed: an implementation bug, never a data issue."""
-
-    def __init__(self, enum_value: int, diagonal_value: int):
-        self.enum_value = enum_value
-        self.diagonal_value = diagonal_value
-        super().__init__(
-            f"internal counter disagreement: enumeration={enum_value}, "
-            f"diagonal={diagonal_value}"
-        )
 
 
 class Method(str, Enum):
@@ -95,15 +81,6 @@ class CountResult:
     method: Method
     elapsed: float
     work: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CheckedCount:
-    """Agreed value from both counters, with per-method timings."""
-
-    value: int
-    enumeration: CountResult
-    diagonal: CountResult
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +349,19 @@ def count_induced_c4_diagonal(g: Graph) -> CountResult:
     return CountResult(raw // 2, Method.DIAGONAL, time.perf_counter() - start, work)
 
 
-def count_both_and_check(
+def count_induced_c4(
     g: Graph,
+    method: Method | str,
     *,
     subset_cap: int = DEFAULT_SUBSET_CAP,
     workers: int = 1,
-) -> CheckedCount:
-    """Run both counters and insist they agree.
+) -> CountResult:
+    """Count induced 4-cycles by ``method``, with that counter's refusals.
 
-    A disagreement raises CounterMismatchError carrying both values; it
-    signals a bug in this package, not a property of the input graph.
+    The counters are looked up as module globals on every call, so a caller
+    that replaces ``count_induced_c4_enum`` or ``count_induced_c4_diagonal``
+    on this module (as the benchmark's spans do) is seen here.
     """
-    enum_result = count_induced_c4_enum(g, subset_cap=subset_cap, workers=workers)
-    diag_result = count_induced_c4_diagonal(g)
-    if enum_result.value != diag_result.value:
-        raise CounterMismatchError(enum_result.value, diag_result.value)
-    return CheckedCount(enum_result.value, enum_result, diag_result)
+    if Method(method) is Method.ENUMERATION:
+        return count_induced_c4_enum(g, subset_cap=subset_cap, workers=workers)
+    return count_induced_c4_diagonal(g)

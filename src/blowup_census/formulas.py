@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .counting import count_induced_c4_diagonal
-from .graphs import Family, Graph, _named_base
+from .graphs import Family, Graph, base_graph
 
 __all__ = [
     "FORMULA_LEVEL_CAP",
@@ -345,7 +345,7 @@ class FamilyFormulas(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _named_invariants(family: Family) -> BaseInvariants:
-    return base_invariants(_named_base(family))
+    return base_invariants(base_graph(family))
 
 
 FORMULAS: dict[str, FamilyFormulas] = {

@@ -21,7 +21,6 @@ import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -30,12 +29,12 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_VERTEX_CAP",
-    "BlowupSpec",
     "Family",
     "Graph",
     "GraphFormatError",
     "NonEdge",
     "VertexCapExceeded",
+    "base_graph",
     "complete_graph",
     "compose",
     "cycle_graph",
@@ -62,7 +61,7 @@ _WRITE_STRIPE_CELLS = 1 << 16
 
 
 class GraphFormatError(ValueError):
-    """Malformed edge-list text."""
+    """Malformed edge-list text, or a base graph the family cannot take."""
 
 
 class VertexCapExceeded(RuntimeError):
@@ -330,54 +329,44 @@ class Family(str, Enum):
     CUSTOM = "custom"
 
 
-@lru_cache(maxsize=None)
-def _named_base(family: Family) -> Graph:
-    if family is Family.C4:
-        return cycle_graph(4)
-    if family is Family.THETA222:
-        return theta_222()
-    raise ValueError("custom family requires an explicit base graph")
+_CANONICAL_BASES = {Family.C4: cycle_graph(4), Family.THETA222: theta_222()}
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    """Names one graph in a nested blow-up hierarchy: base family plus level.
-
-    Level N of an n-vertex base has n^N vertices per blob and n^(N+1) total.
-    """
-
-    family: Family
-    level: int
-    base: Graph | None = None
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("blow-up level must be nonnegative")
-        family = Family(self.family)
-        object.__setattr__(self, "family", family)
-        if self.base is None:
-            object.__setattr__(self, "base", _named_base(family))
-        elif family is not Family.CUSTOM and self.base != _named_base(family):
-            raise ValueError(f"family {family.value} has a fixed canonical base graph")
-        if self.base.n == 0:
-            raise ValueError("base graph must be non-empty")
-
-    @property
-    def total_order(self) -> int:
-        return self.base.n ** (self.level + 1)
+def base_graph(family: Family | str, custom: Graph | None = None) -> Graph:
+    """The base graph of ``family``: the canonical one of a named family, or
+    ``custom`` for the custom family.  The one place that refuses a base,
+    with GraphFormatError: a custom family without one, a named family given
+    one, and an empty one."""
+    family = Family(family)
+    if family is not Family.CUSTOM:
+        if custom is not None:
+            raise GraphFormatError(
+                f"family {family.value} has a fixed base graph; a base (--input) "
+                "is only valid with the custom family"
+            )
+        return _CANONICAL_BASES[family]
+    if custom is None:
+        raise GraphFormatError("the custom family requires a base graph (--input)")
+    if custom.n == 0:
+        raise GraphFormatError("the base graph must have at least one vertex")
+    return custom
 
 
-def nested_blowup(spec: BlowupSpec, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Build G_N for the given spec: G_0 = base, G_N = base[G_{N-1}]."""
-    if spec.total_order > vertex_cap:
+def nested_blowup(base: Graph, level: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+    """G_N for N = ``level``: G_0 = base, G_N = base[G_{N-1}], with
+    |V(base)|^(N+1) vertices; refused (VertexCapExceeded) above
+    ``vertex_cap`` before anything is built."""
+    if level < 0:
+        raise ValueError("blow-up level must be nonnegative")
+    order = base.n ** (level + 1)
+    if order > vertex_cap:
         raise VertexCapExceeded(
-            f"level {spec.level} of the {spec.family.value} family has "
-            f"{spec.total_order} vertices, above the cap of {vertex_cap}; "
+            f"level {level} has {order} vertices, above the cap of {vertex_cap}; "
             "raise --vertex-cap to proceed"
         )
-    g = spec.base
-    for _ in range(spec.level):
-        g = compose(spec.base, g)
+    g = base
+    for _ in range(level):
+        g = compose(base, g)
     return g
 
 

@@ -22,18 +22,12 @@ import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from math import comb
 from typing import Any
 
 import numpy as np
 
 from ._version import __version__
-from .counting import (
-    DEFAULT_SUBSET_CAP,
-    Method,
-    count_induced_c4_diagonal,
-    count_induced_c4_enum,
-)
+from .counting import DEFAULT_SUBSET_CAP, Method, SubsetCapExceeded, count_induced_c4
 from .formulas import (
     FORMULAS,
     LevelCounts,
@@ -43,7 +37,7 @@ from .formulas import (
     base_invariants,
     blowup_levels,
 )
-from .graphs import DEFAULT_VERTEX_CAP, BlowupSpec, Family, Graph, compose
+from .graphs import DEFAULT_VERTEX_CAP, Family, Graph, base_graph, compose
 
 __all__ = [
     "SKIPPED_CAP",
@@ -82,6 +76,8 @@ class RunConfig:
             raise ValueError("max_level must be nonnegative")
         if self.vertex_cap <= 0 or self.subset_cap <= 0:
             raise ValueError("caps must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -249,13 +245,14 @@ def _build_level(
     for method in Method:
         if method not in config.methods:
             counts.append(SKIPPED_NOT_REQUESTED)
-        elif graph is None or (method is Method.ENUMERATION and comb(order, 4) > config.subset_cap):
+        elif graph is None:
             counts.append(SKIPPED_CAP)
         else:
-            if method is Method.ENUMERATION:
-                result = count_induced_c4_enum(graph, subset_cap=config.subset_cap, workers=config.workers)
-            else:
-                result = count_induced_c4_diagonal(graph)
+            try:
+                result = count_induced_c4(graph, method, subset_cap=config.subset_cap, workers=config.workers)
+            except SubsetCapExceeded:
+                counts.append(SKIPPED_CAP)
+                continue
             counts.append(result.value)
             timings[method.value] = result.elapsed
             work[method.value] = result.work
@@ -344,9 +341,7 @@ def _blas_meta() -> dict[str, str | None]:
 
 def build_report(config: RunConfig, custom_base: Graph | None = None) -> VerificationReport:
     """Run the full verification pipeline described by ``config``."""
-    if config.family is Family.CUSTOM and custom_base is None:
-        raise ValueError("custom family requires a base graph")
-    base = BlowupSpec(config.family, 0, custom_base if config.family is Family.CUSTOM else None).base
+    base = base_graph(config.family, custom_base)
     findings: list[Finding] = []
     rules: list[LevelCounts] = []
     levels: list[LevelRecord] = []

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from blowup_census import BlowupSpec, Graph, GraphFormatError
+from blowup_census import Graph, GraphFormatError
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -40,11 +40,13 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(row.bit_count() for row in g.rows))
 
 
-def blob_of(v: int, spec: BlowupSpec) -> int:
-    """Index of the blob (base vertex) whose copy contains vertex v."""
-    if not 0 <= v < spec.total_order:
-        raise IndexError(f"vertex {v} out of range for order {spec.total_order}")
-    return v // spec.base.n**spec.level
+def blob_of(v: int, base_n: int, level: int) -> int:
+    """Index of the blob (base vertex) whose copy contains vertex v at this
+    level of the blow-up of a base_n-vertex base."""
+    order = base_n ** (level + 1)
+    if not 0 <= v < order:
+        raise IndexError(f"vertex {v} out of range for order {order}")
+    return v // base_n**level
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:

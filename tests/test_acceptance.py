@@ -14,11 +14,11 @@ from functools import lru_cache
 
 from blowup_census import (
     FORMULAS,
-    BlowupSpec,
     Family,
     Rational,
     Variant,
     VerificationReport,
+    base_graph,
     blowup_levels,
     c4_closed_T,
     c4_partial_sums,
@@ -41,7 +41,7 @@ from math import comb
 
 @lru_cache(maxsize=None)
 def _level(family: Family, n: int):
-    return nested_blowup(BlowupSpec(family, n))
+    return nested_blowup(base_graph(family), n)
 
 
 def _rule(family: str, n: int):
@@ -279,7 +279,7 @@ def test_criterion_10_c4_level_four_diagonal():
     expected = 7740798208
     assert _rule("c4", 4).T == c4_closed_T(4, Variant.DERIVED) == expected
 
-    g = nested_blowup(BlowupSpec(Family.C4, 4))
+    g = nested_blowup(base_graph(Family.C4), 4)
     assert (g.n, g.edge_count, g.non_edge_count) == (1024, 349184, 174592)
     diag = count_induced_c4_diagonal(g)
     assert diag.value == expected
@@ -295,9 +295,9 @@ def test_criterion_11_level_four_edge_lists():
     # build -> write -> read at level 4 for both families; theta L4 has
     # 2.9e6 edge lines
     t0 = time.perf_counter()
-    c4 = nested_blowup(BlowupSpec(Family.C4, 4))
+    c4 = nested_blowup(base_graph(Family.C4), 4)
     assert read_edge_list(write_edge_list(c4)) == c4
-    theta = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    theta = nested_blowup(base_graph(Family.THETA222), 4)
     theta_text = write_edge_list(theta)
     edge_lines = theta_text.count("\n") - 1
     assert edge_lines == _rule("theta222", 4).edges == 2928750
@@ -334,7 +334,7 @@ def test_criterion_13_theta_level_four_diagonal():
     expected = 774665211375
     assert _rule("theta222", 4).T == theta_closed_T(4, Variant.DERIVED) == expected
 
-    g = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    g = nested_blowup(base_graph(Family.THETA222), 4)
     assert (g.n, g.edge_count, g.non_edge_count) == (3125, 2928750, 1952500)
     diag = count_induced_c4_diagonal(g)
     assert diag.value == expected
@@ -353,7 +353,7 @@ def test_criterion_14_level_six_and_five_builds():
     built = {}
     for family, level in [(Family.C4, 6), (Family.THETA222, 5)]:
         t0 = time.perf_counter()
-        g = nested_blowup(BlowupSpec(family, level))
+        g = nested_blowup(base_graph(family), level)
         elapsed = time.perf_counter() - t0
         rule = _rule(family.value, level)
         assert (g.n, g.edge_count, g.non_edge_count) == (rule.n, rule.edges, rule.m)

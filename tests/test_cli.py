@@ -10,9 +10,9 @@ import sys
 import pytest
 
 from blowup_census import (
-    BlowupSpec,
     Family,
     VerificationReport,
+    base_graph,
     nested_blowup,
     read_edge_list,
     write_edge_list,
@@ -25,7 +25,7 @@ def test_generate_roundtrips(tmp_path):
     out = tmp_path / "c4_level1.edges"
     assert main(["generate", "--family", "c4", "--level", "1", "--out", str(out)]) == 0
     g = read_edge_list(out.read_text())
-    assert g == nested_blowup(BlowupSpec(Family.C4, 1))
+    assert g == nested_blowup(base_graph(Family.C4), 1)
 
 
 def test_generate_level_zero_c4(tmp_path, capsys):
@@ -43,7 +43,7 @@ def test_generate_writes_the_edge_list_text(tmp_path, family, level):
     # c4 L4's ids pass 1000, so the writer's id width changes inside the file.
     out = tmp_path / f"{family}.edges"
     assert main(["generate", "--family", family, "--level", str(level), "--out", str(out)]) == 0
-    g = nested_blowup(BlowupSpec(Family(family), level))
+    g = nested_blowup(base_graph(Family(family)), level)
     data = out.read_bytes()
     assert data == write_edge_list(g).encode("ascii")
     assert b"\r" not in data and data.count(b"\n") == g.edge_count + 1
@@ -158,6 +158,14 @@ def test_verify_rejects_levels_beyond_cap():
         assert proc.stderr == f"error: --max-level is capped at 30, got {level}\n"
 
 
+@pytest.mark.parametrize("command", ["formula", "sequence", "verify"])
+def test_negative_max_level_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "c4", "--max-level", "-1"])
+    assert exc.value.code == 2
+    assert "argument --max-level: must be at least 0, got -1" in capsys.readouterr().err
+
+
 def test_sequence_c4(capsys):
     assert main(["sequence", "--family", "c4", "--max-level", "3"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()
@@ -222,10 +230,49 @@ def test_verify_custom_family(tmp_path, capsys):
 
 def test_verify_custom_requires_input(capsys):
     assert main(["verify", "--family", "custom", "--max-level", "0"]) == 2
+    assert "requires a base graph" in capsys.readouterr().err
 
 
-def test_input_with_named_family_rejected(capsys):
+def test_input_with_named_family_rejected(tmp_path, capsys):
+    base = tmp_path / "p3.edges"
+    base.write_text("3\n0 1\n1 2\n")
+    for argv in (
+        ["verify", "--family", "c4", "--max-level", "0"],
+        ["generate", "--family", "theta222", "--level", "0", "--out", os.devnull],
+        ["count", "--family", "c4", "--level", "0"],
+    ):
+        assert main([*argv, "--input", str(base)]) == 2
+        assert "family" in capsys.readouterr().err
     assert main(["verify", "--family", "c4", "--max-level", "0", "--input", "x"]) == 2
+
+
+_BASE_ARGS = {
+    "verify": ["--max-level", "1"],
+    "generate": ["--level", "1", "--out", os.devnull],
+    "count": ["--level", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(_BASE_ARGS))
+def test_empty_custom_base_exit_code(tmp_path, capsys, command):
+    # a base of no vertices is a refused request (2), not a failed verification (1)
+    base = tmp_path / "empty.edges"
+    base.write_text("0\n")
+    argv = [command, "--family", "custom", "--input", str(base), *_BASE_ARGS[command]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: the base graph must have at least one vertex\n")
+
+
+def test_count_disagreement_exits_one(monkeypatch, capsys):
+    from blowup_census import counting
+
+    wrong = counting.CountResult(0, counting.Method.DIAGONAL, 0.0)
+    monkeypatch.setattr(counting, "count_induced_c4_diagonal", lambda g: wrong)
+    assert main(["count", "--family", "c4", "--level", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "enum: 404" in out and "methods agree: false" in out
+    assert "internal counter disagreement" in err
 
 
 def test_malformed_edge_list_exit_code(tmp_path, capsys):
@@ -244,7 +291,7 @@ def test_non_ascii_edge_list_exit_code(tmp_path, capsys):
 
 def test_input_vertex_cap_exit_code(tmp_path, capsys):
     path = tmp_path / "c4.edges"
-    path.write_text(write_edge_list(nested_blowup(BlowupSpec(Family.C4, 1))))
+    path.write_text(write_edge_list(nested_blowup(base_graph(Family.C4), 1)))
     assert main(["count", "--input", str(path), "--vertex-cap", "15"]) == 2
     assert "16 vertices, above the cap of 15" in capsys.readouterr().err
     assert main(["count", "--input", str(path), "--vertex-cap", "16"]) == 0

@@ -14,17 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup_census import (
-    BlowupSpec,
-    CounterMismatchError,
     CountParityError,
     Family,
     Graph,
     Method,
     SubsetCapExceeded,
     VertexCapExceeded,
+    base_graph,
     complete_graph,
     compose,
-    count_both_and_check,
+    count_induced_c4,
     count_induced_c4_diagonal,
     count_induced_c4_enum,
     cycle_graph,
@@ -161,8 +160,8 @@ def test_enumeration_matches_brute_force():
 
 def test_enumeration_across_chunks(monkeypatch):
     graphs = [
-        nested_blowup(BlowupSpec(Family.C4, 2)),
-        nested_blowup(BlowupSpec(Family.THETA222, 2)),
+        nested_blowup(base_graph(Family.C4), 2),
+        nested_blowup(base_graph(Family.THETA222), 2),
         random_graph(130, 0.6, 5),
     ]
     expected = [count_induced_c4_enum(g).value for g in graphs]
@@ -417,42 +416,51 @@ def test_float32_exactness_guard_refuses_before_allocating():
 
 
 def test_c4_level_one_count():
-    g = nested_blowup(BlowupSpec(Family.C4, 1))
+    g = nested_blowup(base_graph(Family.C4), 1)
     assert count_induced_c4_enum(g).value == 404
     assert count_induced_c4_diagonal(g).value == 404
 
 
 def test_c4_level_two_count():
-    g = nested_blowup(BlowupSpec(Family.C4, 2))
-    checked = count_both_and_check(g)
-    assert checked.value == 114512
-    assert checked.enumeration.method is Method.ENUMERATION
-    assert checked.diagonal.method is Method.DIAGONAL
+    g = nested_blowup(base_graph(Family.C4), 2)
+    for method in Method:
+        result = count_induced_c4(g, method)
+        assert (result.value, result.method) == (114512, method)
 
 
 def test_theta_level_one_count():
-    g = nested_blowup(BlowupSpec(Family.THETA222, 1))
-    assert count_both_and_check(g).value == 2886
+    g = nested_blowup(base_graph(Family.THETA222), 1)
+    assert [count_induced_c4(g, method).value for method in Method] == [2886, 2886]
 
 
 def test_theta_level_two_diagonal():
-    g = nested_blowup(BlowupSpec(Family.THETA222, 2))
+    g = nested_blowup(base_graph(Family.THETA222), 2)
     assert count_induced_c4_diagonal(g).value == 1947705
 
 
 def test_subset_cap_refusal():
-    g = nested_blowup(BlowupSpec(Family.C4, 1))
+    g = nested_blowup(base_graph(Family.C4), 1)
     with pytest.raises(SubsetCapExceeded, match="1820"):
         count_induced_c4_enum(g, subset_cap=1000)
     with pytest.raises(SubsetCapExceeded):
-        count_both_and_check(g, subset_cap=1000)
+        count_induced_c4(g, "enum", subset_cap=1000)
+    # the cap binds the enumeration counter only
+    assert count_induced_c4(g, "diagonal", subset_cap=1000).value == 404
 
 
-def test_counter_mismatch_error_fields():
-    err = CounterMismatchError(3, 5)
-    assert err.enum_value == 3
-    assert err.diagonal_value == 5
-    assert "3" in str(err) and "5" in str(err)
+def test_dispatch_reads_the_counters_at_call_time(monkeypatch):
+    # replacing a counter on the module, as the benchmark's spans do, must
+    # reach every caller of the dispatch
+    calls = []
+    for name in ("count_induced_c4_enum", "count_induced_c4_diagonal"):
+        original = getattr(counting, name)
+        monkeypatch.setattr(
+            counting, name, lambda g, _f=original, _n=name, **kw: calls.append(_n) or _f(g, **kw)
+        )
+    g = cycle_graph(4)
+    assert count_induced_c4(g, Method.ENUMERATION, workers=2).value == 1
+    assert count_induced_c4(g, Method.DIAGONAL).value == 1
+    assert calls == ["count_induced_c4_enum", "count_induced_c4_diagonal"]
 
 
 def test_diagonal_raw_sum_even():
@@ -478,20 +486,21 @@ def test_methods_match_reference_oracle(seed):
 def test_method_equivalence_medium_graphs():
     for seed in range(50):
         g = random_graph(16 + seed % 17, 0.1 + 0.08 * (seed % 10), seed)
-        assert count_both_and_check(g).value >= 0
+        assert count_induced_c4_enum(g).value == count_induced_c4_diagonal(g).value
 
 
 def test_isomorphism_invariance_spot():
     for family, expected in [(Family.C4, 404), (Family.THETA222, 2886)]:
-        g = nested_blowup(BlowupSpec(family, 1))
+        g = nested_blowup(base_graph(family), 1)
         for seed in range(5):
             perm = list(range(g.n))
             random.Random(seed).shuffle(perm)
-            assert count_both_and_check(relabel(g, perm)).value == expected
+            h = relabel(g, perm)
+            assert count_induced_c4_enum(h).value == count_induced_c4_diagonal(h).value == expected
 
 
 def test_worker_count_does_not_change_results():
-    g = nested_blowup(BlowupSpec(Family.C4, 1))
+    g = nested_blowup(base_graph(Family.C4), 1)
     base_enum = count_induced_c4_enum(g).value
     assert count_induced_c4_enum(g, workers=2).value == base_enum
     assert count_induced_c4_enum(g, workers=3).value == base_enum

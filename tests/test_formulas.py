@@ -18,11 +18,11 @@ import pytest
 from blowup_census import (
     FORMULA_LEVEL_CAP,
     FORMULAS,
-    BlowupSpec,
     Family,
     Rational,
     TermBreakdown,
     Variant,
+    base_graph,
     base_invariants,
     blowup_levels,
     c4_closed_T,
@@ -130,7 +130,7 @@ def test_c4_nonedges_dual_forms_agree():
 
 def test_c4_nonedges_match_graphs():
     for n in range(3):
-        g = nested_blowup(BlowupSpec(Family.C4, n))
+        g = nested_blowup(base_graph(Family.C4), n)
         assert g.non_edge_count == _rule(C4, n).m
         assert g.edge_count == _rule(C4, n).edges
 
@@ -145,7 +145,7 @@ def test_theta_edges_values():
 
 def test_theta_formulas_match_graphs():
     for n in range(3):
-        g = nested_blowup(BlowupSpec(Family.THETA222, n))
+        g = nested_blowup(base_graph(Family.THETA222), n)
         assert g.non_edge_count == _rule(THETA, n).m
         assert g.edge_count == _rule(THETA, n).edges
 

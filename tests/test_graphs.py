@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from blowup_census import graphs as graphs_module
 from blowup_census import (
-    BlowupSpec,
     Family,
     Graph,
     GraphFormatError,
     NonEdge,
     VertexCapExceeded,
+    base_graph,
     complete_graph,
     compose,
     cycle_graph,
@@ -173,7 +173,7 @@ def test_narrow_stripes_accept_valid_graphs(monkeypatch):
 
 def test_validation_across_default_stripes():
     # theta L4 has 3125 vertices, several stripes at the default block size
-    g = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    g = nested_blowup(base_graph(Family.THETA222), 4)
     assert g.n * g.n > graphs_module._VALIDATE_BLOCK_BYTES
     assert Graph(g.n, g.rows) == g
     far = next(v for v in range(g.n - 1, 0, -1) if not has_edge(g, 0, v))
@@ -344,98 +344,103 @@ def test_compose_matches_int_row_reference():
 
 
 def test_blowup_spec_orders():
-    spec = BlowupSpec(Family.C4, 2)
-    assert (spec.base.n, spec.base.n**spec.level, spec.total_order) == (4, 16, 64)
-    spec = BlowupSpec(Family.THETA222, 1)
-    assert spec.total_order == 25
+    # base order n, blob size n^N and total order n^(N+1) of level N
+    base = base_graph(Family.C4)
+    assert (base.n, base.n**2, nested_blowup(base, 2).n) == (4, 16, 64)
+    assert nested_blowup(base_graph(Family.THETA222), 1).n == 25
 
 
-def test_blowup_spec_rejects_negative_level():
+def test_nested_blowup_rejects_negative_level():
+    with pytest.raises(ValueError, match="nonnegative"):
+        nested_blowup(cycle_graph(4), -1)
+
+
+def test_base_graph_accepts_family_strings():
+    assert base_graph("c4") is base_graph(Family.C4)
+    assert base_graph("theta222") == theta_222()
     with pytest.raises(ValueError):
-        BlowupSpec(Family.C4, -1)
-
-
-def test_blowup_spec_accepts_family_strings():
-    assert BlowupSpec("c4", 0).family is Family.C4
+        base_graph("c5")
 
 
 def test_nested_blowup_level_zero_is_base():
-    assert nested_blowup(BlowupSpec(Family.C4, 0)) == cycle_graph(4)
-    assert nested_blowup(BlowupSpec(Family.THETA222, 0)) == theta_222()
+    assert nested_blowup(base_graph(Family.C4), 0) == cycle_graph(4)
+    assert nested_blowup(base_graph(Family.THETA222), 0) == theta_222()
 
 
 def test_nested_blowup_orders():
-    assert nested_blowup(BlowupSpec(Family.C4, 2)).n == 64
-    g = nested_blowup(BlowupSpec(Family.THETA222, 1))
+    assert nested_blowup(base_graph(Family.C4), 2).n == 64
+    g = nested_blowup(base_graph(Family.THETA222), 1)
     assert (g.n, g.edge_count) == (25, 180)
 
 
 @pytest.mark.parametrize("family", [Family.C4, Family.THETA222])
 @pytest.mark.parametrize("level", [1, 2])
 def test_nested_blowup_matches_compose(family, level):
-    spec = BlowupSpec(family, level)
-    prev = nested_blowup(BlowupSpec(family, level - 1))
-    assert nested_blowup(spec) == compose(spec.base, prev)
+    base = base_graph(family)
+    assert nested_blowup(base, level) == compose(base, nested_blowup(base, level - 1))
 
 
 @pytest.mark.parametrize("family", [Family.C4, Family.THETA222])
 def test_blob_structure(family):
     # blob b of level N is an index-shifted copy of level N-1, and cross-blob
     # adjacency mirrors the base graph exactly; exhaustive at this scale
-    spec = BlowupSpec(family, 2)
-    g = nested_blowup(spec)
-    prev = nested_blowup(BlowupSpec(family, 1))
-    size = spec.base.n**spec.level
-    base = spec.base
+    base = base_graph(family)
+    g = nested_blowup(base, 2)
+    prev = nested_blowup(base, 1)
+    size = base.n**2
     for b in range(base.n):
         lo = b * size
         for x in range(size):
             row = (g.rows[lo + x] >> lo) & ((1 << size) - 1)
             assert row == prev.rows[x]
     for u in range(g.n):
-        bu = blob_of(u, spec)
+        bu = blob_of(u, base.n, 2)
         for v in range(u + 1, g.n):
-            bv = blob_of(v, spec)
+            bv = blob_of(v, base.n, 2)
             if bu != bv:
                 assert has_edge(g, u, v) == has_edge(base, bu, bv)
 
 
 def test_blob_of_examples():
-    assert blob_of(0, BlowupSpec(Family.C4, 1)) == 0
-    assert blob_of(15, BlowupSpec(Family.C4, 1)) == 3
-    assert blob_of(24, BlowupSpec(Family.THETA222, 1)) == 4
+    assert blob_of(0, 4, 1) == 0
+    assert blob_of(15, 4, 1) == 3
+    assert blob_of(24, 5, 1) == 4
     with pytest.raises(IndexError):
-        blob_of(16, BlowupSpec(Family.C4, 1))
+        blob_of(16, 4, 1)
 
 
 def test_nested_blowup_vertex_cap():
-    with pytest.raises(VertexCapExceeded):
-        nested_blowup(BlowupSpec(Family.C4, 2), vertex_cap=16)
+    with pytest.raises(VertexCapExceeded, match="level 2 has 64 vertices, above the cap of 16"):
+        nested_blowup(base_graph(Family.C4), 2, vertex_cap=16)
     # override allows it
-    assert nested_blowup(BlowupSpec(Family.C4, 2), vertex_cap=64).n == 64
+    assert nested_blowup(base_graph(Family.C4), 2, vertex_cap=64).n == 64
 
 
 def test_nested_blowup_custom_base():
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    spec = BlowupSpec(Family.CUSTOM, 1, path3)
-    g = nested_blowup(spec)
+    g = nested_blowup(base_graph(Family.CUSTOM, path3), 1)
     assert g.n == 9
     # edges: 3 copies of P3 (2 each) + 2 base edges * 9 = 24
     assert g.edge_count == 24
 
 
 def test_custom_family_requires_base():
-    with pytest.raises(ValueError):
-        BlowupSpec(Family.CUSTOM, 1)
+    with pytest.raises(GraphFormatError, match="requires a base graph"):
+        base_graph(Family.CUSTOM)
+    with pytest.raises(GraphFormatError, match="at least one vertex"):
+        base_graph(Family.CUSTOM, empty_graph(0))
+    assert base_graph("custom", empty_graph(1)) == empty_graph(1)
 
 
 def test_named_family_rejects_foreign_base():
-    with pytest.raises(ValueError):
-        BlowupSpec(Family.C4, 1, theta_222())
+    # any base, even the canonical one, is refused: a named family takes none
+    for base in (theta_222(), cycle_graph(4)):
+        with pytest.raises(GraphFormatError, match="fixed base graph"):
+            base_graph(Family.C4, base)
 
 
 def test_theta_nonedge_count_level_one():
-    g = nested_blowup(BlowupSpec(Family.THETA222, 1))
+    g = nested_blowup(base_graph(Family.THETA222), 1)
     assert g.non_edge_count == 120
     assert len(list(non_edges(g))) == 120
 
@@ -680,7 +685,7 @@ def test_write_edge_list_matches_reference_random():
 
 def test_edge_list_chunks_stream_in_bounded_memory():
     # theta L4's text is 27 MB; the writer holds one row stripe at a time
-    g = nested_blowup(BlowupSpec(Family.THETA222, 4))
+    g = nested_blowup(base_graph(Family.THETA222), 4)
     size = len(f"{g.n}\n") + 2 * g.edge_count
     size += sum(row.bit_count() * len(str(u)) for u, row in enumerate(g.rows))
     tracemalloc.start()
@@ -696,14 +701,14 @@ def test_edge_list_chunks_stream_in_bounded_memory():
 @pytest.mark.parametrize("family", [Family.C4, Family.THETA222])
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_write_edge_list_matches_reference_blowups(family, level):
-    g = nested_blowup(BlowupSpec(family, level))
+    g = nested_blowup(base_graph(family), level)
     assert write_edge_list(g) == _reference_edge_list(g)
 
 
 @pytest.mark.parametrize("family", [Family.C4, Family.THETA222])
 def test_write_edge_list_matches_digit_rule(family):
-    spec = BlowupSpec(family, 3)
-    assert write_edge_list(nested_blowup(spec)) == digit_rule_edge_list(spec.base, 3)
+    base = base_graph(family)
+    assert write_edge_list(nested_blowup(base, 3)) == digit_rule_edge_list(base, 3)
 
 
 @given(st.integers(0, 123456))
@@ -715,7 +720,7 @@ def test_edge_list_roundtrip(seed):
 
 
 def test_write_edge_list_sorted_pairs():
-    g = nested_blowup(BlowupSpec(Family.C4, 1))
+    g = nested_blowup(base_graph(Family.C4), 1)
     lines = write_edge_list(g).strip().splitlines()[1:]
     pairs = [tuple(map(int, line.split())) for line in lines]
     assert pairs == sorted(pairs)

@@ -14,11 +14,14 @@ from blowup_census import (
     SKIPPED_NOT_REQUESTED,
     Family,
     Graph,
+    GraphFormatError,
     Rational,
     RunConfig,
     TermBreakdown,
     VerificationReport,
     build_report,
+    cycle_graph,
+    empty_graph,
     render_summary,
 )
 
@@ -234,8 +237,12 @@ def test_custom_family_over_vertex_cap_uses_the_rule():
 
 
 def test_custom_family_requires_base():
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphFormatError, match="requires a base graph"):
         build_report(RunConfig(family=Family.CUSTOM, max_level=0))
+    with pytest.raises(GraphFormatError, match="at least one vertex"):
+        build_report(RunConfig(family=Family.CUSTOM, max_level=0), custom_base=empty_graph(0))
+    with pytest.raises(GraphFormatError, match="fixed base graph"):
+        build_report(_config(), custom_base=cycle_graph(4))
 
 
 def test_run_config_validation():
@@ -250,6 +257,12 @@ def test_run_config_validation():
         RunConfig(family=Family.C4, max_level=1, methods=("enumeration",))
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_run_config_refuses_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        RunConfig(family=Family.C4, max_level=1, workers=workers)
+
+
 def test_render_summary_mentions_findings_and_result():
     report = build_report(_config(max_level=0))
     text = render_summary(report)
@@ -262,20 +275,22 @@ def _spy(monkeypatch, module, name: str, calls: list[str]) -> None:
     original = getattr(module, name)
 
     def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        # a call the counter refuses (SubsetCapExceeded) counts nothing
         calls.append(name)
-        return original(*args, **kwargs)
+        return result
 
     monkeypatch.setattr(module, name, spy)
 
 
 def _spy_on_builds_and_counts(monkeypatch) -> list[str]:
-    from blowup_census import formulas, report
+    from blowup_census import counting, formulas, report
 
     calls: list[str] = []
     for module, name in [
         (report, "compose"),
-        (report, "count_induced_c4_enum"),
-        (report, "count_induced_c4_diagonal"),
+        (counting, "count_induced_c4_enum"),
+        (counting, "count_induced_c4_diagonal"),
         (formulas, "count_induced_c4_diagonal"),
     ]:
         _spy(monkeypatch, module, name, calls)
