@@ -48,8 +48,9 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type for integers of at least ``low``."""
+def _int_at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse type for integers of at least ``low`` and, given
+    ``high``, at most ``high``."""
 
     def parse(text: str) -> int:
         try:
@@ -58,6 +59,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -90,9 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("count", help="count induced 4-cycles in a graph")
-    p.add_argument("--family", choices=[f.value for f in Family])
-    p.add_argument("--level", type=_int_at_least(0))
-    p.add_argument("--input", help="edge-list file to count on (or custom base with --level)")
+    p.add_argument("--family", choices=[f.value for f in Family], default=Family.CUSTOM.value)
+    p.add_argument("--level", type=_int_at_least(0), default=0)
+    p.add_argument("--input", help="base-graph edge list (custom family only); "
+                   "level 0 counts the file itself")
     p.add_argument("--method", choices=["enum", "diagonal", "both"], default="both")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="also write the JSON record here")
@@ -102,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="tabulate the exact formulas per level")
     p.add_argument("--family", choices=list(FORMULAS), required=True)
-    p.add_argument("--max-level", type=_int_at_least(0), required=True)
+    p.add_argument("--max-level", type=_int_at_least(0, FORMULA_LEVEL_CAP), required=True)
     p.add_argument("--variant", choices=["stated", "derived", "both"], default="both")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.add_argument("--out", help="write the table here instead of stdout")
@@ -110,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-verify formulas against graph counts")
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p.add_argument("--max-level", type=_int_at_least(0), required=True)
+    p.add_argument("--max-level", type=_int_at_least(0, FORMULA_LEVEL_CAP), required=True)
     p.add_argument("--input", help="base-graph edge list (custom family only)")
     p.add_argument("--method", choices=["enum", "diagonal", "both"], default="both")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -121,42 +125,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sequence", help="CSV of per-level counts from the formulas")
     p.add_argument("--family", choices=list(FORMULAS), required=True)
-    p.add_argument("--max-level", type=_int_at_least(0), required=True)
+    p.add_argument("--max-level", type=_int_at_least(0, FORMULA_LEVEL_CAP), required=True)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_sequence)
 
     return parser
 
 
-def _load_graph(path: str, vertex_cap: int) -> Graph:
+def _custom_base(args) -> Graph | None:
+    """The graph read from ``--input``, None without one; ``base_graph``
+    decides whether the family takes it."""
+    if not args.input:
+        return None
     # surrogateescape keeps each byte >= 0x80 as one code point, so the
     # error can name its line
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+    with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
     if not text.isascii():
         pos = re.search("[^\x00-\x7f]", text).start()
         byte = ord(text[pos]) - 0xDC00
         line = text.count("\n", 0, pos) + 1
         raise GraphFormatError(f"line {line}: non-ASCII byte 0x{byte:02x}")
-    return read_edge_list(text, vertex_cap=vertex_cap)
+    return read_edge_list(text, vertex_cap=args.vertex_cap)
 
 
-def _custom_base(args) -> Graph | None:
-    """The graph read from ``--input``, None without one; ``base_graph``
-    decides whether the family takes it."""
-    return _load_graph(args.input, args.vertex_cap) if args.input else None
+def _level_graph(args) -> Graph:
+    """Level ``--level`` of the nested blow-up of ``--family``'s base."""
+    base = base_graph(args.family, _custom_base(args))
+    return nested_blowup(base, args.level, vertex_cap=args.vertex_cap)
 
 
 def _methods(choice: str) -> tuple[Method, ...]:
     """The counters that ``--method`` names."""
     return tuple(Method) if choice == "both" else (Method(choice),)
-
-
-def _check_formula_level(max_level: int) -> None:
-    if max_level > FORMULA_LEVEL_CAP:
-        raise VertexCapExceeded(
-            f"--max-level is capped at {FORMULA_LEVEL_CAP}, got {max_level}"
-        )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -175,8 +176,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    base = base_graph(args.family, _custom_base(args))
-    g = nested_blowup(base, args.level, vertex_cap=args.vertex_cap)
+    g = _level_graph(args)
     with open(args.out, "wb") as fh:
         fh.writelines(_edge_list_chunks(g))
     print(f"{args.family} level {args.level}: {g.n} vertices, {g.edge_count} edges -> {args.out}")
@@ -184,20 +184,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.input and args.level is None:
-        graph = _load_graph(args.input, args.vertex_cap)
-        source = {"input": args.input}
-    elif args.family:
-        if args.level is None:
-            raise GraphFormatError("count needs --level together with --family")
-        base = base_graph(args.family, _custom_base(args))
-        graph = nested_blowup(base, args.level, vertex_cap=args.vertex_cap)
-        source = {"family": args.family, "level": args.level}
-    elif args.input:
-        raise GraphFormatError("--level with --input needs --family custom")
-    else:
-        raise GraphFormatError("count needs either --input or --family/--level")
-
+    graph = _level_graph(args)
     results = [
         count_induced_c4(graph, method, subset_cap=args.subset_cap, workers=args.workers)
         for method in _methods(args.method)
@@ -205,7 +192,13 @@ def _cmd_count(args) -> int:
 
     agreed = len({r.value for r in results}) == 1
     record = {
-        "graph": {**source, "vertices": graph.n, "edges": graph.edge_count},
+        "graph": {
+            "family": args.family,
+            "level": args.level,
+            "input": args.input,
+            "vertices": graph.n,
+            "edges": graph.edge_count,
+        },
         "results": [
             {"method": r.method.value, "value": r.value, "elapsed": r.elapsed, "work": r.work}
             for r in results
@@ -250,7 +243,6 @@ def _formula_rows(family: str, max_level: int, variants: list[Variant]):
 
 
 def _cmd_formula(args) -> int:
-    _check_formula_level(args.max_level)
     variants = (
         [Variant.STATED, Variant.DERIVED]
         if args.variant == "both"
@@ -270,7 +262,6 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_formula_level(args.max_level)
     config = RunConfig(
         family=args.family,
         max_level=args.max_level,
@@ -295,7 +286,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    _check_formula_level(args.max_level)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["N", "vertices", "edges", "non_edges", "induced_c4"])
@@ -310,15 +300,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, VertexCapExceeded, SubsetCapExceeded) as exc:
+    except (GraphFormatError, VertexCapExceeded, SubsetCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CountParityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -171,11 +171,6 @@ def _enum_count(packed: np.ndarray, c_values) -> int:
     return sum(_enum_count_for_c(packed, words, far, c) for c in c_values)
 
 
-def _enum_worker(args) -> int:
-    packed, c_values = args
-    return _enum_count(packed, c_values)
-
-
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes worth starting: at most one per usable core and per task."""
     return max(1, min(workers, os.cpu_count() or 1, tasks))
@@ -212,7 +207,7 @@ def count_induced_c4_enum(
 
         chunks = [cs[w::size] for w in range(size)]
         with ProcessPoolExecutor(max_workers=size) as pool:
-            value = sum(pool.map(_enum_worker, [(packed, chunk) for chunk in chunks]))
+            value = sum(pool.map(_enum_count, [packed] * size, chunks))
     return CountResult(
         value, Method.ENUMERATION, time.perf_counter() - start, {"subsets": subsets}
     )

@@ -116,6 +116,14 @@ def _int_or_rational(num: int, den: int) -> ClosedValue:
     return q if r == 0 else Rational(num, den)
 
 
+def _powers(q: int, N: int) -> tuple[int, int, int]:
+    """(q^N, q^2N, q^3N), the powers the hand-typed forms are written in."""
+    if N < 0:
+        raise ValueError(f"level must be nonnegative, got {N}")
+    p = q**N
+    return p, p * p, p * p * p
+
+
 # ---------------------------------------------------------------------------
 # The composition rule
 # ---------------------------------------------------------------------------
@@ -240,9 +248,7 @@ def c4_partial_sums(N: int) -> PartialSums:
         R_N = sum_{i=1..N} 4^(N+i+1) * m_{i-1}
         S_N = sum_{i=1..N} 4^i * m_{N-i}^2
     """
-    p = 4**N
-    p2 = 4 ** (2 * N)
-    p3 = 4 ** (3 * N)
+    p, p2, p3 = _powers(4, N)
     m = [level.m for level in blowup_levels(FORMULAS["c4"].base, N)]
     q_sum = p * sum(4 ** (3 * i) for i in range(N + 1))
     r_sum = sum(4 ** (N + i + 1) * m[i - 1] for i in range(1, N + 1))
@@ -262,9 +268,7 @@ def theta_partial_sums(N: int) -> PartialSums:
         R_N = 6 * sum_{i=1..N} 5^(i-1) * m_{N-i}^2
         S_N = 9 * sum_{i=1..N} 5^(N+i) * m_{i-1}
     """
-    p = 5**N
-    p2 = 5 ** (2 * N)
-    p3 = 5 ** (3 * N)
+    p, p2, p3 = _powers(5, N)
     m = [level.m for level in blowup_levels(FORMULAS["theta222"].base, N)]
     q_sum = 3 * p * sum(5 ** (3 * i) for i in range(N + 1))
     r_sum = 6 * sum(5 ** (i - 1) * m[N - i] ** 2 for i in range(1, N + 1))
@@ -290,9 +294,7 @@ def c4_closed_T(N: int, variant: Variant) -> ClosedValue:
     and never evaluates to an integer (5670 = 2 * 3^4 * 5 * 7, but the stated
     numerator only carries a single factor of 3 beyond powers of 2).
     """
-    p = 4**N
-    p2 = 4 ** (2 * N)
-    p3 = 4 ** (3 * N)
+    p, p2, p3 = _powers(4, N)
     if Variant(variant) is Variant.STATED:
         num = 8 * p * (1280 * p3 + 672 * p2 + 105 * p - 713)
     else:
@@ -307,9 +309,7 @@ def theta_closed_T(N: int, variant: Variant) -> ClosedValue:
     stated one is negative at N = 0 and non-integer at every level.
     """
     tail = -3877 if Variant(variant) is Variant.STATED else -7
-    p = 5**N
-    p2 = 5 ** (2 * N)
-    p3 = 5 ** (3 * N)
+    p, p2, p3 = _powers(5, N)
     num = p * (6300 * p3 - 2945 * p2 + 372 * p + tail)
     return _int_or_rational(num, 1240)
 

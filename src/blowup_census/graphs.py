@@ -17,6 +17,7 @@ and writer and both counters work on that matrix directly.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -119,6 +120,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         lo, hi = [], []
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:

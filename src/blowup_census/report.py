@@ -29,6 +29,7 @@ import numpy as np
 from ._version import __version__
 from .counting import DEFAULT_SUBSET_CAP, Method, SubsetCapExceeded, count_induced_c4
 from .formulas import (
+    FORMULA_LEVEL_CAP,
     FORMULAS,
     LevelCounts,
     Rational,
@@ -72,8 +73,8 @@ class RunConfig:
         object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
         if not self.methods:
             raise ValueError("methods must name at least one counter")
-        if self.max_level < 0:
-            raise ValueError("max_level must be nonnegative")
+        if not 0 <= self.max_level <= FORMULA_LEVEL_CAP:
+            raise ValueError(f"max_level must be in 0..{FORMULA_LEVEL_CAP}, got {self.max_level}")
         if self.vertex_cap <= 0 or self.subset_cap <= 0:
             raise ValueError("caps must be positive")
         if self.workers < 1:

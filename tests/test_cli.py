@@ -99,6 +99,22 @@ def test_count_json_record(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == record
 
 
+def test_count_reads_its_graph_like_generate(tmp_path, capsys):
+    # --family defaults to custom, --level to 0, and --input is the custom base
+    path = tmp_path / "c4.edges"
+    path.write_text(write_edge_list(base_graph(Family.C4)))
+    keys = ("family", "level", "input", "vertices", "edges")
+    for args, graph, value in (
+        (["--family", "c4"], ("c4", 0, None, 4, 4), 1),
+        (["--input", str(path)], ("custom", 0, str(path), 4, 4), 1),
+        (["--input", str(path), "--level", "1"], ("custom", 1, str(path), 16, 80), 404),
+    ):
+        assert main(["count", *args, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["graph"] == dict(zip(keys, graph))
+        assert [r["value"] for r in record["results"]] == [value, value]
+
+
 def test_count_cap_refusal_exit_code(capsys):
     code = main(
         ["count", "--family", "c4", "--level", "1", "--method", "enum", "--subset-cap", "10"]
@@ -139,31 +155,16 @@ def test_formula_both_variants_disagree(capsys):
     assert row[header.index("variants_agree")] == "false"
 
 
-def test_formula_rejects_levels_beyond_cap(capsys):
-    assert main(["formula", "--family", "c4", "--max-level", "31"]) == 2
-
-
-def test_verify_rejects_levels_beyond_cap():
-    # from about c4 level 1780 a count has more digits than Python converts
-    # to str; verify refuses such levels up front, as formula and sequence do
-    for level in ("31", "1800"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "blowup_census", "verify", "--family", "c4",
-             "--max-level", level, "--vertex-cap", "300", "--format", "json"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: --max-level is capped at 30, got {level}\n"
-
-
 @pytest.mark.parametrize("command", ["formula", "sequence", "verify"])
 def test_negative_max_level_is_a_usage_error(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--family", "c4", "--max-level", "-1"])
-    assert exc.value.code == 2
-    assert "argument --max-level: must be at least 0, got -1" in capsys.readouterr().err
+    # both bounds are parse rules; from about c4 level 1780 a count has more
+    # digits than Python converts to str
+    for level, rule in (("-1", "at least 0"), ("31", "at most 30"), ("1800", "at most 30")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "c4", "--max-level", level])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --max-level: must be {rule}, got {level}\n" in err
 
 
 def test_sequence_c4(capsys):
@@ -240,26 +241,28 @@ def test_input_with_named_family_rejected(tmp_path, capsys):
         ["verify", "--family", "c4", "--max-level", "0"],
         ["generate", "--family", "theta222", "--level", "0", "--out", os.devnull],
         ["count", "--family", "c4", "--level", "0"],
+        ["count", "--family", "theta222"],
     ):
         assert main([*argv, "--input", str(base)]) == 2
         assert "family" in capsys.readouterr().err
     assert main(["verify", "--family", "c4", "--max-level", "0", "--input", "x"]) == 2
 
 
-_BASE_ARGS = {
-    "verify": ["--max-level", "1"],
-    "generate": ["--level", "1", "--out", os.devnull],
-    "count": ["--level", "1"],
-}
-
-
-@pytest.mark.parametrize("command", list(_BASE_ARGS))
-def test_empty_custom_base_exit_code(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "--family", "custom", "--max-level", "1"], id="verify"),
+        pytest.param(["generate", "--family", "custom", "--level", "1", "--out", os.devnull],
+                     id="generate"),
+        pytest.param(["count", "--family", "custom", "--level", "1"], id="count"),
+        pytest.param(["count"], id="count-level-0"),
+    ],
+)
+def test_empty_custom_base_exit_code(tmp_path, capsys, argv):
     # a base of no vertices is a refused request (2), not a failed verification (1)
     base = tmp_path / "empty.edges"
     base.write_text("0\n")
-    argv = [command, "--family", "custom", "--input", str(base), *_BASE_ARGS[command]]
-    assert main(argv) == 2
+    assert main([*argv, "--input", str(base)]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: the base graph must have at least one vertex\n")
 
@@ -346,6 +349,13 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "1,16,80,40,404"
+    proc = subprocess.run(
+        [sys.executable, "-m", "blowup_census", "verify", "--family", "c4",
+         "--max-level", "31", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
     # under -O the checks still run: they are comparisons, not asserts
     base = tmp_path / "p3.edges"
     base.write_text("3\n0 1\n1 2\n")

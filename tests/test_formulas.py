@@ -196,6 +196,23 @@ def test_recurrence_rejects_negative():
         blowup_levels(THETA, -1)
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        c4_partial_sums,
+        theta_partial_sums,
+        lambda N: c4_closed_T(N, Variant.DERIVED),
+        lambda N: theta_closed_T(N, Variant.STATED),
+    ],
+    ids=["c4_partial_sums", "theta_partial_sums", "c4_closed_T", "theta_closed_T"],
+)
+@pytest.mark.parametrize("N", [-1, -2])
+def test_hand_typed_forms_refuse_negative_levels(form, N):
+    # 4**-1 is a float: c4_closed_T(-1, "derived") evaluated to 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        form(N)
+
+
 def test_c4_breakdown_level_one():
     assert _rule(C4, 1).breakdown == TermBreakdown(4, 256, 128, 16)
 

@@ -260,6 +260,10 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+    # the int64 id arrays would truncate 1.5 to 1; numpy integers are ids
+    with pytest.raises(TypeError):
+        Graph.from_edges(3, [(0, 1.5)])
+    assert Graph.from_edges(3, [(np.int64(0), np.int32(2))]) == Graph.from_edges(3, [(0, 2)])
 
 
 def test_edge_plus_non_edge_is_binomial():

@@ -248,6 +248,9 @@ def test_custom_family_requires_base():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(family=Family.C4, max_level=-1)
+    # level 1800's counts have more digits than Python converts to str
+    with pytest.raises(ValueError, match="max_level must be in 0..30, got 1800"):
+        RunConfig(family=Family.C4, max_level=1800, vertex_cap=300)
     with pytest.raises(ValueError):
         RunConfig(family=Family.C4, max_level=0, vertex_cap=0)
     # a report with no counter, or a misspelt one, would pass unchecked
