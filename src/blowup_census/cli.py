@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -71,11 +72,12 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=_int_at_least(1),
         default=1,
-        help="worker processes for the enumeration counter, capped at the core "
+        help="worker processes for the enumeration counter, capped at the usable core "
         "count; results are identical for any count",
     )
 
 
+@functools.cache  # built on the first call, then reused by every later main() in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blowup-census",

@@ -4,10 +4,11 @@ Two deliberately independent algorithms, each exact:
 
 * enumeration visits every 4-vertex subset {a < b < c < d} and keeps those
   in which {a, b, c} induces a path and d sees the path's two ends but not
-  its centre (equivalent to being an induced 4-cycle).  For each c it lists
-  the induced paths on pairs a < b < c by their centre, then tests every
-  candidate d > c of a path at once, 64 per uint64 word of the adjacency
-  rows, with one AND and a popcount;
+  its centre (equivalent to being an induced 4-cycle).  For a run of
+  consecutive c at a time, sized to a memory budget, it lists the induced
+  paths on a < b < c by their centre with one broadcast numpy pass, then
+  tests every candidate d > c of a path at once, 64 per uint64 word of the
+  adjacency rows, with one AND and a popcount;
 * the diagonal method sums, over non-edges {u, v}, the number of unordered
   non-adjacent pairs inside N(u) & N(v), then halves.  An induced 4-cycle has
   exactly two non-adjacent diagonal pairs, so it is counted once per diagonal
@@ -24,8 +25,8 @@ Two deliberately independent algorithms, each exact:
 
 The two share nothing but the graph's packed rows, ``Graph.packed``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
-makes the diagonal method the scalable one here.  Enumeration may split its
-values of c across worker processes; partial counts combine by integer
+makes the diagonal method the scalable one here.  Enumeration may deal its
+runs of c round-robin to worker processes; partial counts combine by integer
 addition, so results are bit-identical for any worker count.  The diagonal
 method runs in one process and gets its parallelism from BLAS threads.
 """
@@ -73,9 +74,10 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class CountResult:
-    """A count with its wall time and work counters: ``subsets`` scanned for
-    enumeration; distinct ``neighbourhoods``, product ``rows`` and class
-    ``columns`` multiplied (summed over products) for the diagonal method."""
+    """A count with its wall time and work counters: ``subsets`` scanned and
+    chunk ``passes`` made for enumeration; distinct ``neighbourhoods``,
+    product ``rows`` and class ``columns`` multiplied (summed over products)
+    for the diagonal method."""
 
     value: int
     method: Method
@@ -96,16 +98,16 @@ class CountResult:
 # yz, zd and dx and, the path being induced, neither xz nor yd: the cycle
 # x - y - z - d - x, induced.
 #
-# Subsets are grouped by their third vertex c, which is looped over in
-# Python.  For one c the pairs a < b < c form the lower triangle of a (b, a)
-# grid, unpacked from the adjacency rows a chunk of consecutive b at a time;
-# cells with a >= b are masked off.  The missing edge of a path names its
-# centre, so the cells split into three masks, one per centre, and no cell
-# is in two.  Each mask becomes (a, b) pairs through its flat nonzero
-# indices and a division by the chunk width.  The candidates d are
-# bit-sliced, 64 per uint64 word of the row-major rows W, and with
-# P = W & W[c] and Q = W & ~W[c], both masked to d > c, each centre is one
-# popcount over gathered rows:
+# Subsets are grouped by their third vertex c, and the values of c are cut
+# into runs of consecutive c that numpy scans together.  The cells (b, c, a)
+# of a run [c0, c1), for b, a < c1 - 1, form one grid unpacked from the
+# adjacency rows, with c1 - c0 values of c per b; cells with a >= b or
+# b >= c are masked off by broadcasting.  The missing edge of a path names
+# its centre, so the cells split into three masks, one per centre, and no
+# cell is in two.  The candidates d are bit-sliced, 64 per uint64 word of
+# the row-major rows W, and with P = W & W[c] and Q = W & ~W[c], both
+# masked to d > c and stacked over the run's values of c, each centre is
+# one popcount over gathered rows:
 #
 #   centre b (ab, bc; no ac):  |P[a] & ~W[b]|
 #   centre a (ab, ac; no bc):  |~W[a] & P[b]|
@@ -115,65 +117,126 @@ class CountResult:
 # n, so the set padding bits of ~W never count.  Each of the C(n, 4) subsets
 # is decided once, by the test of the path on its three smallest vertices,
 # and np.bitwise_count adds up the survivors.
+#
+# A run takes as many values of c as fit the budget below, cells and stacked
+# operands alike, so that small c share a pass: a graph of 100 vertices
+# takes a few passes, not one per c.  A c too large to share a run is
+# scanned alone, in chunks of consecutive b that each fit the budget.  In a
+# chunk of r values of c, with b0 <= b < b1 and a < w = b1 - 1, cell
+# (b, c, a) has the flat index i = ((b - b0) r + c - c0) w + a.  Then i // w
+# is the row of P stacked by (b, c) from b0 on, and i // (r w) is b - b0
+# with remainder the row of P or Q stacked by (c, a) with w rows per c: the
+# stride of a run's one chunk, and of no account when r = 1.  So a mask's
+# flat nonzero indices address both gathers after one division.
 
-# A chunk of the scan unpacks at most this many (b, a) cells, one byte each,
-# and each gathered (pairs, words) uint64 operand holds at most this many
-# bytes: the pairs of a mask are gathered in slices that fill it.  At least
-# one b row and one pair whatever the budget.
+# A chunk of the scan unpacks at most this many (b, c, a) cells, one byte
+# each; each operand stacked over a run of several c, and each gathered
+# (pairs, words) uint64 operand, holds at most this many bytes: the pairs of
+# a mask are gathered in slices that fill it.  At least one c, one b row and
+# one pair whatever the budget.
 _ENUM_BLOCK_BYTES = 1 << 17
 
 
-def _enum_count_for_c(packed: np.ndarray, words: np.ndarray, far: np.ndarray, c: int) -> int:
-    """Induced 4-cycles {a < b < c < d} with this third vertex c; far is ~words."""
-    w0 = (c + 1) >> 6
+def _enum_runs(n: int) -> list[tuple[int, int]]:
+    """The third vertices 2 <= c < n - 1 cut into runs [c0, c1) of
+    consecutive c, each as long as its cells and stacked operands fit
+    _ENUM_BLOCK_BYTES, and at least one c long."""
+    words = -(-n // 64)
+    runs = []
+    c0 = 2
+    while c0 < n - 1:
+        # a run [c0, c1 + 1) has c1 rows of b and of a, on the words from c0's
+        row_bytes = 8 * (words - ((c0 + 1) >> 6))
+        c1 = c0 + 1
+        while c1 < n - 1 and (c1 + 1 - c0) * c1 * max(c1, row_bytes) <= _ENUM_BLOCK_BYTES:
+            c1 += 1
+        runs.append((c0, c1))
+        c0 = c1
+    return runs
+
+
+def _run_operands(words: np.ndarray, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P stacked by (b, c) on rows b < c1 - 1, then P and Q stacked by
+    (c, a) on rows a < c1 - 2, for the run [c0, c1), on the words from the
+    first that holds a bit above c0."""
+    w0 = (c0 + 1) >> 6
+    tail = words[:, w0:]
+    cs = np.arange(c0, c1)
+    later = np.arange(64 * w0, 64 * words.shape[1]) > cs[:, None]
+    later = np.packbits(later, axis=1, bitorder="little").view("<u8")  # bits d > c
+    x_c = tail[c0:c1]
+    ends, off = x_c & later, ~x_c & later
+    rows, width = c1 - 1, tail.shape[1]
+    by_b = (tail[:rows, None] & ends).reshape(-1, width)
+    by_a = tail[: rows - 1]
+    return by_b, (by_a & ends[:, None]).reshape(-1, width), (by_a & off[:, None]).reshape(-1, width)
+
+
+def _enum_count_run(
+    packed: np.ndarray, words: np.ndarray, far: np.ndarray, c0: int, c1: int
+) -> tuple[int, int]:
+    """Induced 4-cycles {a < b < c < d} with c0 <= c < c1, and the chunk
+    passes that took; far is ~words."""
+    w0 = (c0 + 1) >> 6
     tail, far = words[:, w0:], far[:, w0:]
-    x_c = tail[c]
-    first = ~np.uint64(0) << np.uint64((c + 1) & 63)
-    ends = tail & x_c  # P
-    ends[:, 0] &= first
-    off = tail & ~x_c  # Q
-    off[:, 0] &= first
+    ends_by_b, ends, off = _run_operands(words, c0, c1)
+    span, rows = c1 - c0, c1 - 1  # b < rows
     cap = max(1, _ENUM_BLOCK_BYTES // (8 * tail.shape[1]))
-    row_c = np.unpackbits(packed[c], count=c, bitorder="little").view(bool)  # ac and bc
-    step = max(1, _ENUM_BLOCK_BYTES // c)
-    total = 0
-    for b0 in range(1, c, step):
-        b1 = min(b0 + step, c)
+    inside = np.arange(rows) < np.arange(c0, c1)[:, None]
+    bits = np.unpackbits(packed[c0:c1], axis=1, count=rows, bitorder="little").view(bool)
+    sees, misses = bits & inside, ~bits & inside  # (c, v): cv or not, for v < c
+    bc_all, no_bc_all = sees.T[:, :, None], misses.T[:, :, None]  # (b, c)
+    # a run of several c is one chunk; a c alone takes its b in chunks
+    step = rows if span > 1 else max(1, _ENUM_BLOCK_BYTES // rows)
+    total = passes = 0
+    for b0 in range(1, rows, step):
+        b1 = min(b0 + step, rows)
         width = b1 - 1
         below = np.arange(width) < np.arange(b0, b1)[:, None]
         ab = np.unpackbits(packed[b0:b1], axis=1, count=width, bitorder="little").view(bool)
-        ab &= below
-        ac = row_c[:width] & below
-        bc = row_c[b0:b1, None]
-        for mask, at_a, at_b in (
-            (np.greater(ab & bc, ac), ends, far),  # centre b: |P[a] & ~W[b]|
-            (np.greater(ab & ac, bc), far, ends),  # centre a: |~W[a] & P[b]|
-            (np.greater(ac & bc, ab), off, tail),  # centre c: |Q[a] & W[b]|
+        ab, no_ab = (ab & below)[:, None], np.greater(below, ab)[:, None]
+        ac, no_ac = sees[:, :width], misses[:, :width]
+        bc, no_bc = bc_all[b0:b1], no_bc_all[b0:b1]
+        plane = span * width
+        for x, y, z, at_a, at_b, per in (
+            (ab, bc, no_ac, ends, far[b0:], plane),  # centre b: |P[a] & ~W[b]|
+            (ab, ac, no_bc, far, ends_by_b[b0 * span :], width),  # centre a: |~W[a] & P[b]|
+            (ac, bc, no_ab, off, tail[b0:], plane),  # centre c: |Q[a] & W[b]|
         ):
-            a = mask.ravel().nonzero()[0]
-            b = a // width  # counts from b0
-            a -= b * width
-            at_b = at_b[b0:]
+            a = (x & y & z).ravel().nonzero()[0]  # one mask alive at a time
+            b = a // per
+            a -= b * per
             for s in range(0, len(a), cap):
                 both = at_a.take(a[s : s + cap], axis=0)
                 both &= at_b.take(b[s : s + cap], axis=0)
                 total += int(np.bitwise_count(both).sum())
-    return total
+        passes += 1
+    return total, passes
 
 
-def _enum_count(packed: np.ndarray, c_values) -> int:
-    """Induced 4-cycles whose third vertex lies in c_values."""
+def _enum_count(packed: np.ndarray, runs: list[tuple[int, int]]) -> tuple[int, int]:
+    """Induced 4-cycles whose third vertex lies in one of the runs, and the
+    chunk passes that took."""
     n, width = packed.shape
     padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     padded[:, :width] = packed
     words = padded.view("<u8")  # row v holds bits 64w .. 64w + 63 of v in word w
     far = ~words
-    return sum(_enum_count_for_c(packed, words, far, c) for c in c_values)
+    total = passes = 0
+    for c0, c1 in runs:
+        found, took = _enum_count_run(packed, words, far, c0, c1)
+        total += found
+        passes += took
+    return total, passes
 
 
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes worth starting: at most one per usable core and per task."""
-    return max(1, min(workers, os.cpu_count() or 1, tasks))
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(workers, cores, tasks))
 
 
 def count_induced_c4_enum(
@@ -189,7 +252,8 @@ def count_induced_c4_enum(
     """
     start = time.perf_counter()
     if g.n < 4:
-        return CountResult(0, Method.ENUMERATION, time.perf_counter() - start, {"subsets": 0})
+        work = {"subsets": 0, "passes": 0}
+        return CountResult(0, Method.ENUMERATION, time.perf_counter() - start, work)
     subsets = comb(g.n, 4)
     if subsets > subset_cap:
         raise SubsetCapExceeded(
@@ -197,20 +261,19 @@ def count_induced_c4_enum(
             "raise --subset-cap or use the diagonal method"
         )
     packed = g.packed
-    cs = range(2, g.n - 1)
-    size = _pool_size(workers, len(cs))
+    runs = _enum_runs(g.n)
+    size = _pool_size(workers, len(runs))
     if size == 1:
-        value = _enum_count(packed, cs)
+        value, passes = _enum_count(packed, runs)
     else:
         # imported here: it pulls in multiprocessing, which a one-process run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [cs[w::size] for w in range(size)]
+        dealt = [runs[w::size] for w in range(size)]
         with ProcessPoolExecutor(max_workers=size) as pool:
-            value = sum(pool.map(_enum_count, [packed] * size, chunks))
-    return CountResult(
-        value, Method.ENUMERATION, time.perf_counter() - start, {"subsets": subsets}
-    )
+            value, passes = map(sum, zip(*pool.map(_enum_count, [packed] * size, dealt)))
+    work = {"subsets": subsets, "passes": passes}
+    return CountResult(value, Method.ENUMERATION, time.perf_counter() - start, work)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,37 @@ from blowup_census import (
     write_edge_list,
     complete_graph,
 )
+from blowup_census import cli
 from blowup_census.cli import main
+
+
+def test_main_builds_its_parser_once(capsys):
+    # verify, count, a usage error and verify again in one process print and
+    # exit as each does with a parser of its own
+    calls = [
+        ["verify", "--family", "c4", "--max-level", "1"],
+        ["count", "--family", "c4", "--level", "1"],
+        ["count", "--level", "-1"],
+        ["verify", "--family", "c4", "--max-level", "1"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, re.sub(r"\[\d+\.\d+s\]", "[time]", out), err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert "must be at least 0" in fresh[2][2]
 
 
 def test_generate_roundtrips(tmp_path):
@@ -93,7 +124,7 @@ def test_count_json_record(tmp_path, capsys):
         "diagonal": 404,
     }
     assert {r["method"]: r["work"] for r in record["results"]} == {
-        "enum": {"subsets": 1820},
+        "enum": {"subsets": 1820, "passes": 1},
         "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 40},
     }
     assert json.loads(capsys.readouterr().out) == record

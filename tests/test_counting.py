@@ -175,24 +175,75 @@ def test_enumeration_across_chunks(monkeypatch):
 
 
 def test_enumeration_chunks_stay_under_the_budget(monkeypatch):
-    # every gathered operand is handed to the popcount; the scan fills them
+    # every gathered operand is handed to the popcount, and every operand
+    # stacked over a run of c comes from _run_operands; the scan fills both
     # up to the budget and never past it
     g = random_graph(200, 0.5, 3)
     budget = 1 << 14
-    largest = 0
+    largest = stacked = 0
     real_bitwise_count = np.bitwise_count
+    real_run_operands = counting._run_operands
 
     def spy(x, *args, **kwargs):
         nonlocal largest
         largest = max(largest, x.nbytes)
         return real_bitwise_count(x, *args, **kwargs)
 
+    def spy_operands(words, c0, c1):
+        nonlocal stacked
+        operands = real_run_operands(words, c0, c1)
+        stacked = max(stacked, *(x.nbytes for x in operands))
+        return operands
+
     monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
     monkeypatch.setattr(np, "bitwise_count", spy)
+    monkeypatch.setattr(counting, "_run_operands", spy_operands)
     value = count_induced_c4_enum(g).value
     monkeypatch.undo()
     assert value == count_induced_c4_enum(g).value
     assert budget // 4 < largest <= budget
+    assert budget // 4 < stacked <= budget
+
+
+def _interleaved_parts(n: int, seed: str) -> tuple[Graph, int]:
+    """A disjoint union of seeded random graphs on 8 to 15 vertices whose
+    labels, each part's in order, interleave over all n vertices; and its
+    induced 4-cycle count, by brute force on each part (a 4-cycle is
+    connected, so it lies in one part)."""
+    rng = random.Random(seed)
+    sizes = [8] * (n // 8)
+    sizes[-1] += n % 8
+    parts = [random_graph(k, rng.uniform(0.3, 0.7), rng.randrange(10**9)) for k in sizes]
+    slots = list(range(n))
+    rng.shuffle(slots)
+    pairs = []
+    for g, start in zip(parts, np.cumsum([0] + sizes[:-1]).tolist()):
+        labels = sorted(slots[start : start + g.n])
+        pairs += [(labels[u], labels[v]) for u, v in edges(g)]
+    return Graph.from_edges(n, pairs), sum(map(brute_force_c4_count, parts))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_enumeration_runs_at_word_boundaries(n, monkeypatch):
+    # budgets of b chunks of a few rows that end mid-word, of runs of
+    # several c across the first word boundary, and the default; the runs
+    # dealt to 2 and 3 workers too
+    g, expected = _interleaved_parts(n, f"runs-{n}")
+    assert expected >= 20
+    straddled = chunked_mid_word = False
+    for budget in (200, 1536, 1 << 14, counting._ENUM_BLOCK_BYTES):
+        monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
+        runs = counting._enum_runs(n)
+        assert [c for c0, c1 in runs for c in range(c0, c1)] == list(range(2, n - 1))
+        straddled |= any(c1 - c0 > 1 and (c0 + 1) >> 6 != c1 >> 6 for c0, c1 in runs)
+        chunked_mid_word |= any(c1 - c0 == 1 and 64 < c0 and (budget // c0) % 64 for c0, c1 in runs)
+        assert count_induced_c4_enum(g).value == expected, f"budget={budget}"
+        for workers in (2, 3):
+            assert count_induced_c4_enum(g, workers=workers).value == expected, (
+                f"budget={budget} workers={workers}"
+            )
+    assert straddled == (n > 64)
+    assert chunked_mid_word == (n > 66)
 
 
 def _path_centres(g: Graph) -> list[str]:
@@ -369,8 +420,13 @@ def test_diagonal_work_counters():
             ]
             assert rows == sum(map(len, far))
             assert columns == sum(adjacency[u].bit_count() for u in range(g.n) if far[u])
-    assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5}
-    assert count_induced_c4_enum(cycle_graph(3)).work == {"subsets": 0}
+    assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5, "passes": 1}
+    assert count_induced_c4_enum(cycle_graph(3)).work == {"subsets": 0, "passes": 0}
+    # a 100-vertex graph: four runs of c, one pass each
+    assert count_induced_c4_enum(random_graph(100, 0.5, 1)).work == {
+        "subsets": comb(100, 4),
+        "passes": 4,
+    }
 
 
 def test_odd_raw_sum_raises(monkeypatch):
@@ -500,16 +556,34 @@ def test_isomorphism_invariance_spot():
 
 
 def test_worker_count_does_not_change_results():
-    g = nested_blowup(base_graph(Family.C4), 1)
-    base_enum = count_induced_c4_enum(g).value
-    assert count_induced_c4_enum(g, workers=2).value == base_enum
-    assert count_induced_c4_enum(g, workers=3).value == base_enum
+    g = nested_blowup(base_graph(Family.THETA222), 2)
+    assert len(counting._enum_runs(g.n)) > 3
+    base_enum = count_induced_c4_enum(g)
+    assert base_enum.value == 1947705
+    for workers in (2, 3):
+        assert count_induced_c4_enum(g, workers=workers).value == base_enum.value
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def test_pool_size_is_clamped():
-    cores = os.cpu_count() or 1
+    cores = _usable_cores()
     assert _pool_size(1, 100) == 1
     assert _pool_size(2, 100) == min(2, cores)
     assert _pool_size(10**9, 100) == min(100, cores)
     assert _pool_size(10**9, 1) == 1
     assert _pool_size(4, 0) == 1
+
+
+def test_pool_size_counts_the_cores_this_process_may_use(monkeypatch):
+    # an affinity mask of two cores on an eight-core machine caps the pool
+    # at two; without sched_getaffinity the core count is the cap
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert _pool_size(8, 100) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _pool_size(8, 100) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(8, 100) == 1

@@ -126,7 +126,7 @@ def test_work_counters_round_trip_outside_the_substance():
     # opposite, on the 5 classes of its neighbourhood (one in its own copy,
     # two in each adjacent copy)
     assert report.levels[1].work == {
-        "enum": {"subsets": 1820},
+        "enum": {"subsets": 1820, "passes": 1},
         "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 40},
     }
     assert VerificationReport.from_json(report.to_json()) == report
