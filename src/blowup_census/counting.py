@@ -16,11 +16,12 @@ Two deliberately independent algorithms, each exact:
   u and v, and vertices with equal rows (false twins) have equal columns
   too, so the method works on the quotient: one vertex per class of equal
   rows, each weighted by its class size.  One float32 matrix product per
-  class, on the class columns of its neighbourhood, covers the non-edges of
-  the class with the later classes and within itself, each product row
-  weighted by the number of non-edges it stands for.  The products are
-  exact below 2**24 vertices, and the size-weighted step after them runs in
-  float64 (see ``_diagonal_raw_sum``).  The method reads only the built
+  stack, a run of consecutive classes sized to a memory budget, on the
+  union of their neighbourhoods, covers the non-edges of each class with
+  the later classes and within itself, each product row weighted by the
+  number of non-edges it stands for.  The products are exact below 2**24
+  vertices, and the size-weighted step after them runs in float64 (see
+  ``_diagonal_raw_sum``).  The method reads only the built
   graph and uses no blow-up identity.
 
 The two share nothing but the graph's packed rows, ``Graph.packed``.
@@ -76,8 +77,8 @@ class Method(str, Enum):
 class CountResult:
     """A count with its wall time and work counters: ``subsets`` scanned and
     chunk ``passes`` made for enumeration; distinct ``neighbourhoods``,
-    product ``rows`` and class ``columns`` multiplied (summed over products)
-    for the diagonal method."""
+    product ``rows``, the union ``columns`` of each stack's classes (summed
+    over products) and the products (``passes``) for the diagonal method."""
 
     value: int
     method: Method
@@ -230,13 +231,17 @@ def _enum_count(packed: np.ndarray, runs: list[tuple[int, int]]) -> tuple[int, i
     return total, passes
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes worth starting: at most one per usable core and per task."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(workers, cores, tasks))
+    return max(1, min(workers, usable_cores(), tasks))
 
 
 def count_induced_c4_enum(
@@ -294,17 +299,34 @@ def count_induced_c4_enum(
 #
 # For a representative u, the product rows are the later classes v it does
 # not see, each standing for m_u * m_v non-edges, and u's own class, standing
-# for C(m_u, 2), when m_u > 1.  Y holds those rows of Q restricted to the
-# classes of N(u), column c scaled by m_c, so row v of Y is S_v by class and
-# sums to |S_v|.  Row v of Y @ Q[N(u), N(u)] holds |N(w) & S_v| for a w in
-# each class c' of N(u), and its sum weighted by row v of Y is 2 e(S_v); a
-# column of ones appended to Q[N(u), N(u)] gives |S_v| from the same product.
-# One product per representative covers all of its class's non-edges to
-# later classes and inside the class.  In a twin-free graph every class is a
-# single vertex and this is the per-vertex loop with every weight 1.
+# for C(m_u, 2), when m_u > 1.  Column v of Y holds the classes of S_v, entry
+# c scaled by m_c, so it sums to |S_v|.  On a set C of classes that holds
+# N(u), column v of Q[C, C] @ Y holds |N(w) & S_v| for a w in each class of
+# C, and its sum weighted by column v of Y is 2 e(S_v); a row of ones
+# appended to Q[C, C] gives |S_v| from the same product.  In a twin-free
+# graph every class is a single vertex and every weight 1.
+#
+# Representatives are taken in stacks, runs of consecutive representatives
+# that get product rows, and each stack is one product.  C is the union of
+# its members' neighbourhoods by class, and the column of member u's row v
+# is Q[C, v] & Q[C, u]: S_v stays inside N(u), and the classes of C outside
+# N(u) only add zeros.  A lone member's C is N(u), where Q[C, u] is all
+# ones.  A stack is as long as Y and the product, (|C| + 1) x rows float32
+# each, and the (|C| + 1)^2 block of Q fit the budget below, and at least
+# one representative: one whose rows alone exceed the budget is a stack by
+# itself, on the classes of its own neighbourhood.  Stack ends come from
+# the cumulative row count and a cumulative OR of the members' packed
+# quotient rows, over the window of members whose rows fit the budget at
+# the first member's width.  Q is symmetric, so the rows of C, gathered
+# once, give Y's columns and Q's block alike: no pass copies a product
+# row's full row of Q.
 
 # float32 represents every integer below 2**24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
+
+# A stack's float32 operands, Y, Q's block and their product, each hold at
+# most this many bytes, unless the stack is one representative.
+_DIAGONAL_BLOCK_BYTES = 1 << 17
 
 
 def _twin_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,71 +341,94 @@ def _twin_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int:
     """Sum over non-edges {u, v} of the non-adjacent pairs in N(u) & N(v),
-    from the packed (n, ceil(n/8)) rows, computed per representative u as
-    the weighted sum of C(s_v, 2) - e(S_v) over its product rows.
+    from the packed (n, ceil(n/8)) rows, computed per stack of
+    representatives as the weighted sum of C(s_v, 2) - e(S_v) over its
+    product rows.
 
     ``work``, when given, receives the number of distinct neighbourhoods,
-    of product rows and of class columns multiplied."""
+    of product rows, of union columns multiplied (summed over products) and
+    of products (``passes``)."""
     reps, size = _twin_classes(packed)
     k = len(reps)
     rep_rows = packed.take(reps, 0)
-    # adj[i, j]: representative i sees representative j.  The last column is
-    # all ones, so that each product also sums its rows.
-    adj = np.ones((k, k + 1), dtype=bool)
-    adj[:, :k] = rep_rows.take(reps >> 3, 1) >> (reps & 7).astype(np.uint8) & 1
-    ones = adj.astype(np.float32)
-    weighted = ones * np.append(size, 1).astype(np.float32) if k < len(packed) else ones
-    # far[i]: the later classes i does not see, and i itself when it has twins
-    far = np.triu(~adj[:, :k])
+    # adj[i, j]: representative i sees representative j.  Row and column k,
+    # a class of size 0 that sees every class, give each product a row of
+    # ones, so that it also sums its columns.
+    adj = np.zeros((k + 1, k + 1), dtype=bool)
+    adj[:k, :k] = rep_rows.take(reps >> 3, 1) >> (reps & 7).astype(np.uint8) & 1
+    adj[:k, k] = adj[k, :k] = True
+    scale = np.append(size, 0).astype(np.float32)
+    inside = size * (size - 1) // 2  # C(m, 2) non-edges within a class
+    # far[i]: the later classes i does not see, and i itself when it has
+    # twins; none when i has fewer than two neighbours
+    ids = np.arange(k)
+    far = np.greater(ids, ids[:, None]) > adj[:k, :k]
     far.flat[:: k + 1] = size > 1
-    degree = np.bitwise_count(rep_rows).sum(axis=1, dtype=np.int64)
-    doubled = rows = columns = 0
-    for i, (m, deg) in enumerate(zip(size.tolist(), degree.tolist())):
-        if deg < 2:
-            continue
-        far_i = far[i].nonzero()[0]
-        if not len(far_i):
-            continue
-        weights = (size.take(far_i) * m).tolist()
-        if m > 1:
-            weights[0] = comb(m, 2)  # i itself comes first
-        cols = adj[i].nonzero()[0]  # N(u) by class, then the ones column
-        nbrs = cols[:-1]
-        y = weighted.take(far_i, 0).take(nbrs, 1)
-        paths = y @ ones.take(nbrs, 0).take(cols, 1)
-        s = paths[:, -1]  # |S_v|
-        twice_edges = np.einsum("ij,ij->i", paths[:, :-1], y, dtype=np.float64)
+    far[np.bitwise_count(rep_rows).sum(axis=1) < 2] = False
+    counts = far.sum(axis=1)
+    members = counts.nonzero()[0]  # the representatives that get product rows
+    ends = np.cumsum(np.append(0, counts.take(members)))  # rows before each member
+    bits = np.packbits(adj.take(members, 0), axis=1, bitorder="little")
+    alone = np.bitwise_count(bits).sum(axis=1, dtype=np.int64).tolist()
+    budget = _DIAGONAL_BLOCK_BYTES
+    doubled = columns = passes = start = 0
+    while start < len(members):
+        # the union is at least the first member's columns, which bounds the window
+        before = ends[start]
+        stop = np.searchsorted(ends, before + budget // (4 * alone[start]), "right") - 1
+        stop = max(start + 1, int(stop))
+        union = np.bitwise_or.accumulate(bits[start:stop], axis=0)
+        width = np.bitwise_count(union).sum(axis=1, dtype=np.int64)
+        rows = ends[start + 1 : stop + 1] - before
+        fits = 4 * width * np.maximum(rows, width) <= budget  # rows and width only grow
+        stop = start + max(1, int(fits.sum()))
+        cols = np.unpackbits(union[stop - start - 1], count=k + 1, bitorder="little")
+        cols = cols.nonzero()[0]  # C, then the class k
+        lo = members[start]  # far is empty on the rows between members
+        u, v = far[lo : members[stop - 1] + 1].nonzero()
+        u += lo
+        g = adj.take(cols, 0)  # Q[C, :]
+        y = g[:, v]
+        if stop - start > 1:
+            y &= g[:, u]
+        y = np.multiply(y, scale.take(cols)[:, None], dtype=np.float32)
+        paths = np.matmul(g[:, cols].astype(np.float32), y)
+        s = paths[-1]  # |S_v|
+        twice_edges = np.einsum("ij,ij->j", paths, y, dtype=np.float64)
         # twice the non-adjacent pairs in each S_v: |S_v| (|S_v| - 1) - 2 e(S_v)
         pairs = (np.multiply(s, s - 1, dtype=np.float64) - twice_edges).astype(np.int64)
-        pairs = pairs.tolist()
-        if any(p & 1 for p in pairs):
+        if (pairs & 1).any():
             raise CountParityError("handshake parity violated: adjacency is not symmetric")
-        doubled += sum(map(mul, weights, pairs))
-        rows += len(far_i)
-        columns += len(nbrs)
+        weights = np.where(u == v, inside.take(u), size.take(u) * size.take(v))
+        doubled += sum(map(mul, weights.tolist(), pairs.tolist()))
+        columns += len(cols) - 1
+        passes += 1
+        start = stop
     if work is not None:
-        work.update(neighbourhoods=k, rows=rows, columns=columns)
+        work.update(neighbourhoods=k, rows=int(ends[-1]), columns=columns, passes=passes)
     return doubled // 2
 
 
 def _diagonal_raw_sum(g: Graph, work: dict[str, int] | None = None) -> int:
     """Raw diagonal sum, before halving; even for every simple graph.
 
-    The matrix products run in float32.  Y's entries are class sizes m_c and
-    Q is 0/1, so entry (v, c') of Y @ Q[N(u), N(u)] is |N(w) & S_v| <= deg(u)
-    < n, and the ones column gives |S_v| <= deg(u); both are reached through
-    partial sums of non-negative integers that never exceed them.  While
-    n < 2**24 each of these values is an integer that float32 represents
-    exactly, so larger graphs are refused before any matrix is allocated.
-    The weighted step sum_c' paths * Y is not: a single product
-    |N(w) & S_v| * m_c' can reach deg(u)**2 / 4 (w's class is outside N(w),
-    so the two factors sum to at most |S_v|), above 2**24 once deg(u) > 2**13.
-    It runs in float64, where every product, partial sum and the result
-    2 e(S_v) <= deg(u)**2 < 2**48 is an integer below 2**53, so exact; so are
-    |S_v| (|S_v| - 1) < 2**48 and the difference, converted to int64.  A
-    row's weight, m_u * m_v or C(m_u, 2) non-edges, is below n**2 <= 2**48,
-    so a weighted term could overflow int64: the weights multiply and add up
-    as Python ints.
+    The matrix products run in float32.  Y's entries are class sizes m_c or
+    0 and Q is 0/1.  A stack's classes C may reach beyond N(u), but the
+    column of Y for a row of u is 0 outside S_v, which lies in N(u), so
+    entry (c', v) of Q[C, C] @ Y is |N(w) & S_v| <= deg(u) < n for every c'
+    in C, and the row of ones gives |S_v| <= deg(u); both are reached
+    through partial sums of non-negative integers that never exceed them.
+    While n < 2**24 each of these values is an integer that float32
+    represents exactly, so larger graphs are refused before any matrix is
+    allocated.  The weighted step sum_c' paths * Y is not: a single product
+    |N(w) & S_v| * m_c', nonzero only for c' in S_v, can reach
+    deg(u)**2 / 4 (w's class is outside N(w), so the two factors sum to at
+    most |S_v|), above 2**24 once deg(u) > 2**13.  It runs in float64, where
+    every product, partial sum and the result 2 e(S_v) <= deg(u)**2 < 2**48
+    is an integer below 2**53, so exact; so are |S_v| (|S_v| - 1) < 2**48
+    and the difference, converted to int64.  A row's weight, m_u * m_v or
+    C(m_u, 2) non-edges, is below n**2 <= 2**48, so a weighted term could
+    overflow int64: the weights multiply and add up as Python ints.
     """
     if g.n >= FLOAT32_EXACT_LIMIT:
         raise VertexCapExceeded(

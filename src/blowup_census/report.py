@@ -27,7 +27,13 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__
-from .counting import DEFAULT_SUBSET_CAP, Method, SubsetCapExceeded, count_induced_c4
+from .counting import (
+    DEFAULT_SUBSET_CAP,
+    Method,
+    SubsetCapExceeded,
+    count_induced_c4,
+    usable_cores,
+)
 from .formulas import (
     FORMULA_LEVEL_CAP,
     FORMULAS,
@@ -333,11 +339,20 @@ def _stated_note(stated: int | Rational) -> str:
     return note
 
 
-def _blas_meta() -> dict[str, str | None]:
+# The environment variables that set the BLAS thread count, by library.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_meta() -> dict[str, Any]:
     """Name and version of the BLAS numpy was built against, from its build
-    configuration; None where the build does not record them."""
+    configuration (None where the build does not record them), and the
+    thread settings in the environment (None where unset)."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    return {"blas": blas.get("name"), "blas_version": blas.get("version")}
+    return {
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+    }
 
 
 def build_report(config: RunConfig, custom_base: Graph | None = None) -> VerificationReport:
@@ -356,6 +371,7 @@ def build_report(config: RunConfig, custom_base: Graph | None = None) -> Verific
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
         **_blas_meta(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

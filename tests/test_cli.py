@@ -125,7 +125,7 @@ def test_count_json_record(tmp_path, capsys):
     }
     assert {r["method"]: r["work"] for r in record["results"]} == {
         "enum": {"subsets": 1820, "passes": 1},
-        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 40},
+        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1},
     }
     assert json.loads(capsys.readouterr().out) == record
 

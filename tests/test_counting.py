@@ -205,6 +205,35 @@ def test_enumeration_chunks_stay_under_the_budget(monkeypatch):
     assert budget // 4 < stacked <= budget
 
 
+def test_diagonal_stacks_stay_under_the_budget(monkeypatch):
+    # every product of the diagonal counter goes through np.matmul; on a
+    # graph where no representative's rows alone exceed the budget, stacks
+    # of several representatives fill Q's block, Y and the product up to
+    # the budget and never past it
+    g = random_graph(150, 0.2, 3)
+    budget = 1 << 16
+    largest = products = 0
+    real_matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        nonlocal largest, products
+        out = real_matmul(a, b, *args, **kwargs)
+        largest = max(largest, a.nbytes, b.nbytes, out.nbytes)
+        products += 1
+        return out
+
+    lone: dict[str, int] = {}
+    monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", 1)
+    expected = _diagonal_raw(g.packed, lone)
+    monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+    monkeypatch.setattr(np, "matmul", spy)
+    work: dict[str, int] = {}
+    assert _diagonal_raw(g.packed, work) == expected
+    monkeypatch.undo()
+    assert products == work["passes"] < lone["passes"] // 2
+    assert budget // 4 < largest <= budget
+
+
 def _interleaved_parts(n: int, seed: str) -> tuple[Graph, int]:
     """A disjoint union of seeded random graphs on 8 to 15 vertices whose
     labels, each part's in order, interleave over all n vertices; and its
@@ -352,6 +381,32 @@ def test_grouped_diagonal_matches_per_vertex_reference():
     assert unequal >= 100
 
 
+def test_diagonal_stacks_across_budgets(monkeypatch):
+    # 1 byte: every stack one representative, the per-representative
+    # products; 256 to 4096 bytes: stacks cut between representatives;
+    # 2**40: the whole quotient in one pass
+    graphs = _planted_twin_graphs()
+    expected = [reference_diagonal_raw(dense_adjacency(g)) for g in graphs]
+    lone = []
+    for budget in (1, 256, 1024, 4096, 1 << 40):
+        monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+        passes = []
+        for g, raw in zip(graphs, expected):
+            work: dict[str, int] = {}
+            assert _diagonal_raw(g.packed, work) == raw, f"budget={budget} rows={g.rows}"
+            if g.n <= 14:
+                assert count_induced_c4_diagonal(g).value == brute_force_c4_count(g) == raw // 2
+            passes.append(work["passes"])
+        if budget == 1:
+            lone = passes
+            assert passes == [len(_diagonal_members(g)) for g in graphs]
+        elif budget < 1 << 40:
+            # several passes, some of several representatives
+            assert sum(1 < p < q for p, q in zip(passes, lone)) >= 50, budget
+        else:
+            assert set(passes) <= {0, 1}
+
+
 @pytest.mark.parametrize(
     "g, expected",
     [
@@ -388,30 +443,61 @@ def test_neighbourhood_classes_keep_the_smallest_id():
         assert size.sum() == g.n
 
 
-def test_diagonal_work_counters():
-    # one product row per later class u does not see, plus u's own row when
-    # its class has two or more members, and one column per class of N(u),
-    # for every u with two neighbours
+def _diagonal_members(g: Graph) -> list[tuple[int, set[int]]]:
+    """The product rows and the neighbourhood by class of each
+    representative that gets a product, in order: one row per later class
+    it does not see, plus its own row when its class has two or more
+    members, for every representative with two neighbours."""
+    classes = _row_classes(g)
+    reps = [ids[0] for ids in classes]
+    members = []
+    for i, ids in enumerate(classes):
+        row = g.rows[ids[0]]
+        if row.bit_count() < 2:
+            continue
+        rows = sum(1 for v in reps[i + 1 :] if not (row >> v) & 1) + (len(ids) > 1)
+        if rows:
+            members.append((rows, {c for c in reps if (row >> c) & 1}))
+    return members
+
+
+def _stacks(members: list[tuple[int, set[int]]], budget: int) -> list[tuple[int, set[int]]]:
+    """Consecutive members taken greedily while rows x (union + 1) and
+    (union + 1)^2 float32 cells fit the budget; at least one each."""
+    stacks: list[tuple[int, set[int]]] = []
+    for rows, nbrs in members:
+        if stacks:
+            total, union = stacks[-1][0] + rows, stacks[-1][1] | nbrs
+            if 4 * (len(union) + 1) * max(total, len(union) + 1) <= budget:
+                stacks[-1] = (total, union)
+                continue
+        stacks.append((rows, nbrs))
+    return stacks
+
+
+def test_diagonal_work_counters(monkeypatch):
+    # rows are the members' product rows; each stack is one pass on the
+    # union of its members' classes.  At a budget of 1 byte every stack is
+    # one representative, on the classes of its own neighbourhood.
     for g in _planted_twin_graphs():
         classes = _row_classes(g)
-        reps = [ids[0] for ids in classes]
-        adjacency = g.rows
-        rows = columns = 0
-        for i, ids in enumerate(classes):
-            row = adjacency[ids[0]]
-            if row.bit_count() < 2:
-                continue
-            product = sum(1 for v in reps[i + 1 :] if not (row >> v) & 1) + (len(ids) > 1)
-            rows += product
-            columns += sum(1 for c in reps if (row >> c) & 1) if product else 0
-        assert count_induced_c4_diagonal(g).work == {
-            "neighbourhoods": len(classes),
-            "rows": rows,
-            "columns": columns,
-        }
+        members = _diagonal_members(g)
+        rows = sum(r for r, _ in members)
+        for budget in (1, counting._DIAGONAL_BLOCK_BYTES):
+            monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+            stacks = _stacks(members, budget)
+            assert count_induced_c4_diagonal(g).work == {
+                "neighbourhoods": len(classes),
+                "rows": rows,
+                "columns": sum(len(union) for _, union in stacks),
+                "passes": len(stacks),
+            }
+        monkeypatch.undo()
         if len(classes) == g.n:
             # twin-free: a row per non-edge {u, v > u} with deg(u) >= 2, as
-            # per vertex, and deg(u) columns for every u that gets a product
+            # per vertex, and one pass on deg(u) columns for every u that
+            # gets a product at a budget of 1 byte
+            adjacency = g.rows
             far = [
                 [v for v in range(u + 1, g.n) if not (adjacency[u] >> v) & 1]
                 if adjacency[u].bit_count() >= 2
@@ -419,7 +505,11 @@ def test_diagonal_work_counters():
                 for u in range(g.n)
             ]
             assert rows == sum(map(len, far))
-            assert columns == sum(adjacency[u].bit_count() for u in range(g.n) if far[u])
+            lone = _stacks(members, 1)
+            assert len(lone) == sum(1 for u in range(g.n) if far[u])
+            assert sum(len(c) for _, c in lone) == sum(
+                adjacency[u].bit_count() for u in range(g.n) if far[u]
+            )
     assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5, "passes": 1}
     assert count_induced_c4_enum(cycle_graph(3)).work == {"subsets": 0, "passes": 0}
     # a 100-vertex graph: four runs of c, one pass each
@@ -444,6 +534,17 @@ def test_asymmetric_adjacency_breaks_handshake_parity():
     adj[1, 2] = 1
     with pytest.raises(CountParityError, match="handshake"):
         _diagonal_raw(np.packbits(adj, axis=1, bitorder="little"))
+    # four such C4s, counted in one stack of eight representatives; one-way
+    # entries inside N(8) and N(12), of later members, make two rows odd
+    # and leave the total even, so only a check per row sees them
+    adj[1, 2] = 0
+    adj = np.kron(np.eye(4, dtype=np.uint8), adj)
+    work: dict[str, int] = {}
+    assert _diagonal_raw(np.packbits(adj, axis=1, bitorder="little"), work) == 8
+    assert work["passes"] == 1 and work["rows"] > 8
+    adj[9, 10] = adj[13, 14] = 1
+    with pytest.raises(CountParityError, match="handshake"):
+        _diagonal_raw(np.packbits(adj, axis=1, bitorder="little"))
 
 
 def test_weighted_step_is_exact_beyond_float32():
@@ -456,7 +557,8 @@ def test_weighted_step_is_exact_beyond_float32():
     rows = tuple(full ^ (((1 << part) - 1) << part * (v // part)) for v in range(3 * part))
     result = count_induced_c4_diagonal(Graph(3 * part, rows))
     assert result.value == 3 * comb(part, 2) ** 2 == 211209324331008
-    assert result.work == {"neighbourhoods": 3, "rows": 3, "columns": 6}
+    # one stack: each class's own row, on the union of the three classes
+    assert result.work == {"neighbourhoods": 3, "rows": 3, "columns": 3, "passes": 1}
 
 
 def test_float32_exactness_guard_refuses_before_allocating():

@@ -105,29 +105,41 @@ def test_meta_contents():
     assert report.meta["timestamp"].endswith("+00:00")
 
 
-def test_meta_records_cores_and_blas():
+def test_meta_records_cores_and_blas(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     report = build_report(_config(max_level=0))
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     assert report.meta["cpu_count"] == os.cpu_count()
+    assert report.meta["usable_cores"] == 2  # the affinity mask, as the worker pool reads it
     assert report.meta["blas"] == blas["name"]
     assert report.meta["blas_version"] == blas["version"]
+    assert report.meta["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "2",
+        "MKL_NUM_THREADS": None,
+    }
     assert VerificationReport.from_json(report.to_json()).meta == report.meta
+    assert json.loads(report.to_json())["meta"]["blas_threads"]["MKL_NUM_THREADS"] is None
     # the environment is not part of the substance two runs are compared by
     other = build_report(_config(max_level=0))
-    other.meta.update(cpu_count=-1, blas="other", blas_version="0")
+    other.meta.update(cpu_count=-1, usable_cores=-1, blas="other", blas_version="0", blas_threads={})
     assert other.comparable_dict() == report.comparable_dict()
     assert "cpu_count" not in json.dumps(report.comparable_dict())
+    assert "OPENBLAS_NUM_THREADS" not in json.dumps(report.comparable_dict())
 
 
 def test_work_counters_round_trip_outside_the_substance():
     report = build_report(_config())
     # c4 L1: 8 classes of 2 false twins; each class is multiplied against its
     # own row and, in copies 0 and 1, against the two classes of the copy
-    # opposite, on the 5 classes of its neighbourhood (one in its own copy,
-    # two in each adjacent copy)
+    # opposite; all 16 rows fit one pass on the union of the neighbourhoods,
+    # all 8 classes
     assert report.levels[1].work == {
         "enum": {"subsets": 1820, "passes": 1},
-        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 40},
+        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1},
     }
     assert VerificationReport.from_json(report.to_json()) == report
     other = build_report(_config())
