@@ -18,6 +18,7 @@ and writer and both counters work on that matrix directly.
 from __future__ import annotations
 
 import operator
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -169,26 +170,58 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-# _BIT[j] is the byte with bit j set, j = 0..7.
-_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
-
-
 def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
     """Packed rows of the graph on n vertices whose edges are {lo[i], hi[i]},
     or None when some pair occurs twice.
 
-    Needs 0 <= lo[i] < hi[i] < n: then distinct pairs set distinct bits, two
-    each, and a repeat shows as fewer than 2 * len(lo) set bits.
+    Needs 0 <= lo[i] < hi[i] < n: then distinct pairs set distinct bits,
+    two each, and a repeat shows as fewer than 2 * len(lo) set bits.  The
+    pairs are grouped into row stripes of at most _VALIDATE_BLOCK_BYTES
+    cells by a stable sort of their stripe numbers, unless they come
+    grouped (as sorted pairs do); each stripe's cells above the diagonal
+    are set by one fancy assignment and packed.  With several stripes the
+    lower triangle is the transpose of the upper one; a graph small enough
+    for one stripe sets its cells below the diagonal there too, which
+    spares small graphs the fixed cost of the transpose.
     """
     width = _width(n)
-    flat = np.zeros(n * width, dtype=np.uint8)
-    for r, c in ((lo, hi), (hi, lo)):
-        byte = r * width
-        byte += c >> 3
-        np.bitwise_or.at(flat, byte, _BIT[c & 7])
-    if int(np.bitwise_count(flat).sum()) < 2 * len(lo):
+    packed = np.zeros((n, width), dtype=np.uint8)
+    step = max(1, _VALIDATE_BLOCK_BYTES // max(n, 1))
+    count = -(-n // step)
+    ends = [len(lo)]
+    if count > 1:
+        stripes = np.empty(len(lo), dtype=np.min_scalar_type(count - 1))
+        np.floor_divide(lo, step, out=stripes, casting="unsafe")
+        if (stripes[1:] < stripes[:-1]).any():
+            order = np.argsort(stripes, kind="stable")
+            lo, hi = lo[order], hi[order]
+        ends = np.cumsum(np.bincount(stripes, minlength=count)).tolist()
+        del stripes
+    cells = np.zeros((min(step, n), n), dtype=bool)
+    start = 0
+    for r0, end in zip(range(0, n, step), ends):
+        if end > start:
+            block = cells[: min(step, n - r0)]
+            block[lo[start:end] - r0, hi[start:end]] = True
+            if count == 1:
+                # the one stripe holds the lower triangle too
+                block[hi, lo] = True
+            packed[r0 : r0 + len(block)] = np.packbits(block, axis=1, bitorder="little")
+            block.fill(False)
+            start = end
+    del cells
+    if count > 1:
+        # Byte columns [c0, c1) hold no bit below row 8 c1; their transpose
+        # is the lower triangle of rows [8 c0, 8 c1), left of byte column
+        # c1, which no later column stripe reads.
+        columns = max(1, _VALIDATE_BLOCK_BYTES // (8 * n))
+        for c0 in range(0, width, columns):
+            c1 = min(c0 + columns, width)
+            mirror = _transposed_rows(packed[: 8 * c1, c0:c1])
+            packed[8 * c0 : 8 * c1, :c1] |= mirror[: n - 8 * c0]
+    if int(np.bitwise_count(packed).sum()) < 2 * len(lo):
         return None
-    return flat.reshape(n, width)
+    return packed
 
 
 def _first_repeat(lo: np.ndarray, hi: np.ndarray) -> int | None:
@@ -216,10 +249,9 @@ _DELTA_SWAPS = tuple(
 )
 
 
-def _transposed_rows(columns: np.ndarray) -> tuple[np.ndarray, int]:
+def _transposed_rows(columns: np.ndarray) -> np.ndarray:
     """Rows [8 c0, 8 c1) of the transpose of an n x n packed bit matrix, as
-    (8 (c1 - c0), ceil(n/8)) packed rows, from its byte columns [c0, c1);
-    and the number of bits set in those columns."""
+    (8 (c1 - c0), ceil(n/8)) packed rows, from its byte columns [c0, c1)."""
     n, r = columns.shape
     width = _width(n)
     padded = np.zeros((8 * width, r), dtype=np.uint8)
@@ -231,14 +263,19 @@ def _transposed_rows(columns: np.ndarray) -> tuple[np.ndarray, int]:
         x ^= t ^ (t << shift)
     # block (p, q) now holds block (c0 + q, p) of the transpose
     rows = np.ascontiguousarray(x.T).view(np.uint8).reshape(r, width, 8).transpose(0, 2, 1)
-    return rows.reshape(8 * r, width), int(np.bitwise_count(x).sum())
+    return rows.reshape(8 * r, width)
 
 
 def _validate(packed: np.ndarray) -> int:
     """Number of edges of the graph with these packed rows; raises
     ValueError unless the rows are those of a simple graph: no bit at or
     past n, no self-loop, every bit mirrored, checked in that order.  An
-    asymmetry is reported at the first unmirrored bit in row-major order."""
+    asymmetry is reported at the first unmirrored bit in row-major order.
+
+    Each pair {u, v} is compared once, in the stripe of rows that holds
+    min(u, v): rows [8 c0, 8 c1) right of byte column c0 against the
+    transpose of byte columns [c0, c1) below row 8 c0.
+    """
     n, width = packed.shape
     if n & 7:
         outside = packed[:, -1] >> (n & 7)
@@ -249,11 +286,28 @@ def _validate(packed: np.ndarray) -> int:
     if loops.any():
         raise ValueError(f"self-loop at vertex {int(loops.argmax())}")
     step = max(1, _VALIDATE_BLOCK_BYTES // max(8 * n, 1))
-    bits = 0
+    edges = 0
+    for c0 in range(0, width, step):
+        c1 = min(c0 + step, width)
+        stripe = packed[8 * c0 : 8 * c1, c0:]
+        if (stripe != _transposed_rows(packed[8 * c0 :, c0:c1])[: len(stripe)]).any():
+            _raise_first_asymmetry(packed)
+        # the stripe's diagonal block holds each of its edges twice
+        bits = np.bitwise_count(stripe)
+        edges += int(bits.sum()) - int(bits[:, : c1 - c0].sum()) // 2
+    return edges
+
+
+def _raise_first_asymmetry(packed: np.ndarray) -> None:
+    """Raise ValueError at the first unmirrored bit, in row-major order, of
+    a packed matrix that is not symmetric: each row stripe against the
+    transpose of its byte columns in full."""
+    n, width = packed.shape
+    step = max(1, _VALIDATE_BLOCK_BYTES // max(8 * n, 1))
     for c0 in range(0, width, step):
         c1 = min(c0 + step, width)
         stripe = packed[8 * c0 : 8 * c1]
-        mirror, count = _transposed_rows(packed[:, c0:c1])
+        mirror = _transposed_rows(packed[:, c0:c1])
         unmatched = stripe & ~mirror[: len(stripe)]
         if unmatched.any():
             cells = np.unpackbits(unmatched, axis=1, count=n, bitorder="little")
@@ -262,8 +316,6 @@ def _validate(packed: np.ndarray) -> int:
             if u < v:
                 raise ValueError(f"asymmetric adjacency at ({u}, {v})")
             raise ValueError(f"asymmetric adjacency at ({u}, {v}) (unmatched lower-triangle bit)")
-        bits += count
-    return bits // 2
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +457,8 @@ def _edge_list_chunks(g: Graph) -> Iterator[bytes]:
     width of the longest.  A stripe's bits above the diagonal select the
     "v\\n" tokens row-major, and each row's "u " token is repeated once per
     selected bit, into "u v" records in ascending (u, v) order; deleting the
-    NULs leaves the text.
+    NULs leaves the text.  A stripe whose first row id has the full width
+    has none to delete, since every later id has it too.
     """
     n = g.n
     yield b"%d\n" % n
@@ -430,7 +483,8 @@ def _edge_list_chunks(g: Graph) -> Iterator[bytes]:
         if lines.size:
             lines["u"] = np.repeat(heads[i:j], per_row)
             lines["v"] = np.broadcast_to(tails[i + 1 :], above.shape)[above]
-            yield lines.tobytes().translate(None, b"\0")
+            text = lines.tobytes()
+            yield text if len(str(i)) + 1 == width else text.translate(None, b"\0")
 
 
 def write_edge_list(g: Graph) -> str:
@@ -484,13 +538,46 @@ def _edge_line_error(lineno: int, raw: str, n: int) -> GraphFormatError:
     )
 
 
+def _canonical_body(text: str, start: int) -> bytes | None:
+    """text[start:], the text after the vertex-count line, as ASCII bytes
+    if it is what write_edge_list emits there: lines "u v" of ASCII digits
+    with one space between, each after a "\\n", and at most one "\\n" after
+    the last; None otherwise."""
+    body = text[start:]
+    if not body.isascii():
+        return None
+    data = body.encode("ascii")
+    del body
+    rest = data.translate(None, b"0123456789")
+    odd = len(rest) & 1
+    if rest != b"\n " * (len(rest) >> 1) + b"\n" * odd:
+        return None
+    del rest
+    # no id is empty: no two separators meet, and the text ends in a digit
+    # or in a "\n" after the last "u v"
+    sep = np.frombuffer(data, dtype=np.uint8) < ord("0")
+    if data and (sep[-1] != odd or (sep[1:] & sep[:-1]).any()):
+        return None
+    return data
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def read_edge_list(text: str, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Parse edge-list text (see the format above) into a Graph.
 
     A malformed text raises GraphFormatError naming its first faulty line; a
     repeated edge, reported at its second occurrence, counts only when no
-    line is faulty.  A vertex count above ``vertex_cap`` raises
-    VertexCapExceeded before anything is allocated.
+    line is faulty.  A vertex count above ``vertex_cap``, or one whose
+    packed rows would not fit in physical memory, raises VertexCapExceeded
+    before anything is allocated.  Text after the vertex count that is
+    exactly what write_edge_list emits skips the line-by-line syntax scan.
     """
     head = _HEADER.search(text)
     if head is None:
@@ -507,12 +594,26 @@ def read_edge_list(text: str, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
             f"line {lineno}: the edge list has {n} vertices, above the cap of "
             f"{vertex_cap}; raise --vertex-cap to proceed"
         )
+    need, memory = n * _width(n), _physical_memory()
+    if memory is not None and need > memory:
+        raise VertexCapExceeded(
+            f"line {lineno}: the edge list has {n} vertices, whose packed rows would "
+            f"take {need} bytes ({need / 2**30:.1f} GiB), more than the {memory} bytes "
+            "of physical memory"
+        )
     start = head.end()
-    bad = _BAD_LINE.search(text, start)
-    # every line of body passed the scan; a '#' in it starts a comment
-    body = text[start : len(text) if bad is None else bad.start()]
-    if "#" in body:
-        body = _COMMENT.sub("", body)
+    # Canonical text has no line the scan would reject but one with an id of
+    # 19 or more digits after any leading zeros; that id is at least 10**18,
+    # beyond every n that fits in memory, so the range check below names
+    # the same first faulty line.
+    body = _canonical_body(text, start)
+    bad = None
+    if body is None:
+        bad = _BAD_LINE.search(text, start)
+        # every line of body passed the scan; a '#' in it starts a comment
+        body = text[start : len(text) if bad is None else bad.start()]
+        if "#" in body:
+            body = _COMMENT.sub("", body)
     if body.isspace():
         # fromstring reads a text of whitespace alone as one 0
         ids = np.empty(0, dtype=np.int64)

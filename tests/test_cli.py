@@ -19,7 +19,7 @@ from blowup_census import (
     write_edge_list,
     complete_graph,
 )
-from blowup_census import cli
+from blowup_census import cli, graphs
 from blowup_census.cli import main
 
 
@@ -329,6 +329,16 @@ def test_input_vertex_cap_exit_code(tmp_path, capsys):
     assert main(["count", "--input", str(path), "--vertex-cap", "15"]) == 2
     assert "16 vertices, above the cap of 15" in capsys.readouterr().err
     assert main(["count", "--input", str(path), "--vertex-cap", "16"]) == 0
+
+
+def test_input_beyond_physical_memory_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c4.edges"
+    path.write_text(write_edge_list(nested_blowup(base_graph(Family.C4), 1)))
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 31)
+    assert main(["count", "--input", str(path)]) == 2
+    assert "16 vertices, whose packed rows would take 32 bytes" in capsys.readouterr().err
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 32)
+    assert main(["count", "--input", str(path)]) == 0
 
 
 def test_missing_file_exit_code(capsys):

@@ -233,6 +233,53 @@ def test_packed_validator_matches_reference(monkeypatch):
     assert min(kinds.values()) >= 150 and len(kinds) == 6, kinds
 
 
+def test_halved_validation_matches_reference(monkeypatch):
+    # validation compares each pair once, in the row stripe of its smaller
+    # end; single bits flipped inside a stripe's diagonal block, in the
+    # first and last row or column of a stripe and in the last, partial
+    # byte of a row (in range and past n) must be named as the full
+    # reference comparison names them, and a flipped mirrored pair must
+    # leave a simple graph whose edge count is its bits over two
+    rng = random.Random(9120)
+    kinds: Counter[str] = Counter()
+    for seed in range(240):
+        n = rng.randrange(9, 90)
+        g = random_graph(n, rng.random(), seed)
+        columns = rng.choice((1, 2, 3, 100))
+        monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", 8 * n * columns)
+        width = (n + 7) // 8
+        r0 = 8 * columns * rng.randrange(-(-width // columns))
+        r1 = min(r0 + 8 * columns, n)
+        block = range(r0, r1)
+        flips: list[tuple[str, int, int]] = []
+        if len(block) >= 2:
+            u, v = rng.sample(block, 2)
+            flips.append(("diagonal block", u, v))
+        edge = rng.choice((r0, r1 - 1))
+        other = rng.choice([v for v in range(n) if v != edge])
+        flips.append(("stripe edge", *rng.sample((edge, other), 2)))
+        last = rng.randrange(8 * (width - 1), n)
+        other = rng.choice([v for v in range(n) if v != last])
+        flips.append(("last byte", *rng.sample((last, other), 2)))
+        if n & 7:
+            flips.append(("padding", rng.randrange(n), rng.randrange(n, 8 * width)))
+        u, v = rng.sample(range(n), 2)
+        flips.append(("mirrored", u, v))
+        for kind, u, v in flips:
+            packed = g.packed.copy()
+            cells = [(u, v), (v, u)] if kind == "mirrored" else [(u, v)]
+            for a, b in cells:
+                packed[a, b >> 3] ^= 1 << (b & 7)
+            expected = reference_validation_error(packed)
+            assert (expected is None) == (kind == "mirrored"), (n, kind, u, v)
+            assert _validation_outcome(packed) == expected, (n, columns, kind, u, v)
+            if expected is None:
+                bits = int(np.bitwise_count(packed).sum())
+                assert Graph._from_packed(packed).edge_count == bits // 2
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 150 and len(kinds) == 5, kinds
+
+
 def test_validation_survives_python_optimize():
     # the checks raise ValueError, never bare asserts that -O would strip
     code = (
@@ -586,6 +633,30 @@ def test_read_edge_list_vertex_cap():
     assert read_edge_list("5\n0 1\n", vertex_cap=5).n == 5
 
 
+def test_read_edge_list_refuses_rows_beyond_physical_memory(monkeypatch):
+    # 91 rows of 12 bytes need 1092 bytes; nothing is allocated to find out
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 1091)
+    with pytest.raises(
+        VertexCapExceeded,
+        match=r"^line 2: the edge list has 91 vertices, whose packed rows would take "
+        r"1092 bytes \(0\.0 GiB\), more than the 1091 bytes of physical memory$",
+    ):
+        read_edge_list("# c\n91\n0 0\n")
+    assert read_edge_list("90\n0 1\n").n == 90
+    # an 8-byte text at the default vertex cap asks for 128 GiB
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 8 << 30)
+    with pytest.raises(VertexCapExceeded, match=r"137438953472 bytes \(128\.0 GiB\)"):
+        read_edge_list("1048576\n")
+    # no check where the platform does not say
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: None)
+    assert read_edge_list("91\n0 1\n").n == 91
+
+
+def test_physical_memory_is_a_byte_count():
+    memory = graphs_module._physical_memory()
+    assert memory is None or memory > 1 << 20
+
+
 _CORRUPTIONS = "0123456789-x# \t\n"
 _SIGNED_ZERO = re.compile(r"(?<![^ \t\n])-0+(?![^ \t\r\n])")
 
@@ -626,27 +697,67 @@ def _outcome(read, text: str) -> Graph | str:
         return str(exc)
 
 
+def _is_canonical(text: str) -> bool:
+    """Whether read_edge_list skips the syntax scan on text whose vertex
+    count is its first line."""
+    head = graphs_module._HEADER.search(text)
+    return head is not None and graphs_module._canonical_body(text, head.end()) is not None
+
+
 def test_read_edge_list_matches_reference_parser():
-    rng = random.Random(515)
-    faults = narrowed = 0
+    # each seed's graph as decorated text and as the plain text the writer
+    # emits, which skips the syntax scan, each also with one corruption
+    rng, plain_rng = random.Random(515), random.Random(516)
+    faults = narrowed = canonical_faults = 0
     for seed in range(400):
         g = random_graph(rng.randint(0, 14), rng.random(), seed)
         text = _decorated_edge_list(rng, g)
-        assert read_edge_list(text) == reference_read_edge_list(text) == g
-        bad = _corrupt_text(rng, text)
-        expected = _outcome(reference_read_edge_list, bad)
-        got = _outcome(read_edge_list, bad)
-        signed = _SIGNED_ZERO.search(bad)
-        if isinstance(expected, Graph) and signed:
-            # int() reads "-0" as 0; an id of the format has no sign
-            line = bad.count("\n", 0, signed.start()) + 1
-            assert got.startswith(f"line {line}: expected a blank line"), bad
-            narrowed += 1
-            continue
-        assert got == expected, bad
-        faults += isinstance(got, str)
-    # the corruptions reach the error paths, and the narrowing case is rare
-    assert faults > 150 and narrowed < 20
+        plain = write_edge_list(g)
+        assert _is_canonical(plain)
+        for good, bad in ((text, _corrupt_text(rng, text)), (plain, _corrupt_text(plain_rng, plain))):
+            assert read_edge_list(good) == reference_read_edge_list(good) == g
+            expected = _outcome(reference_read_edge_list, bad)
+            got = _outcome(read_edge_list, bad)
+            signed = _SIGNED_ZERO.search(bad)
+            if isinstance(expected, Graph) and signed:
+                # int() reads "-0" as 0; an id of the format has no sign
+                line = bad.count("\n", 0, signed.start()) + 1
+                assert got.startswith(f"line {line}: expected a blank line"), bad
+                narrowed += 1
+                continue
+            assert got == expected, bad
+            faults += isinstance(got, str)
+            canonical_faults += isinstance(got, str) and _is_canonical(bad)
+    # the corruptions reach the error paths, on canonical text too, and the
+    # narrowing case is rare
+    assert faults > 400 and canonical_faults > 100 and narrowed < 20, (faults, canonical_faults)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("4", True),
+        ("4\n", True),
+        ("4\n0 1\n1 2", True),
+        ("4\n0 1\n1 2\n\n", False),
+        ("4\r\n0 1\r\n1 2\r\n", False),
+        ("4\n0 1\r\n1 2\n", False),
+        ("4\n0 " + "0" * 39 + "3\n", True),
+        ("4\n0 1\n2 " + "1" + "0" * 18 + "\n", True),
+        # fromstring reads this id as the largest int64
+        ("4\n0 1\n2 " + "9" * 19 + "\n1 2\n", True),
+        ("4\n0 1\n" + "9" * 19 + " 3\n", True),
+        ("4\n0 1\n1 \n", False),
+        ("4\n0 1\n 2\n", False),
+        ("4\n0 1\n12\n", False),
+        ("4\n0  1\n", False),
+        ("4\n0 1\n1 2\n0 1\n", True),
+        ("4\n0 1 2\n", False),
+    ],
+)
+def test_read_edge_list_canonical_cases(text, canonical):
+    assert _is_canonical(text) == canonical
+    assert _outcome(read_edge_list, text) == _outcome(reference_read_edge_list, text)
 
 
 def _reference_edge_list(g: Graph) -> str:
@@ -664,6 +775,56 @@ def _numpy_random_graph(n: int, p: float, seed: int) -> Graph:
 def _with_isolated(g: Graph, n: int) -> Graph:
     """g with isolated vertices g.n, ..., n - 1 appended."""
     return Graph(n, g.rows + (0,) * (n - g.n))
+
+
+def _first_repeat_outcome(n: int, pairs: list[tuple[int, int]]) -> str | None:
+    """The duplicate Graph.from_edges must name: the first pair, in input
+    order, that an earlier one equals."""
+    seen = set()
+    for pair in pairs:
+        if pair in seen:
+            return f"duplicate edge {pair}"
+        seen.add(pair)
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, p, stripe_rows, stripes",
+    [
+        (3000, 0.004, None, 3),  # the default block size
+        (1500, 0.01, None, 1),  # one stripe sets both triangles
+        (1001, 0.02, 64, 16),
+        (200, 0.2, 8, 25),
+        (61, 0.5, 1, 61),
+    ],
+)
+def test_rows_from_pairs_sorted_and_shuffled(monkeypatch, n, p, stripe_rows, stripes):
+    # the pairs are grouped into row stripes: sorted pairs come grouped,
+    # shuffled ones are sorted by stripe; the first or the last pair in row
+    # order, from the first or the last stripe that holds any, repeated
+    # anywhere, is named at its second occurrence
+    if stripe_rows is not None:
+        monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", stripe_rows * n)
+    step = max(1, graphs_module._VALIDATE_BLOCK_BYTES // n)
+    assert -(-n // step) == stripes
+    g = _numpy_random_graph(n, p, n)
+    pairs = edges(g)
+    rng = random.Random(n)
+    shuffled = rng.sample(pairs, len(pairs))
+    for order in (pairs, shuffled):
+        assert Graph.from_edges(n, order) == g
+        text = "\n".join([str(n)] + [f"{u} {v}" for u, v in order]) + "\n"
+        assert read_edge_list(text) == g
+        for repeated in (pairs[0], pairs[-1]):
+            at = rng.randrange(len(order) + 1)
+            twice = order[:at] + [repeated] + order[at:]
+            with pytest.raises(ValueError) as caught:
+                Graph.from_edges(n, twice)
+            assert str(caught.value) == _first_repeat_outcome(n, twice)
+            text = "\n".join([str(n)] + [f"{u} {v}" for u, v in twice]) + "\n"
+            expected = _outcome(reference_read_edge_list, text)
+            assert expected.endswith(f"duplicate edge {repeated}")
+            assert _outcome(read_edge_list, text) == expected
 
 
 def test_write_edge_list_matches_reference_random():
