@@ -34,18 +34,29 @@ from .report import RunConfig, build_report, render_summary
 __all__ = ["main"]
 
 
-def _add_cap_flags(p: argparse.ArgumentParser) -> None:
+def _add_vertex_cap_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--vertex-cap",
         type=_int_at_least(1),
         default=DEFAULT_VERTEX_CAP,
         help="refuse to build graphs with more vertices than this (default %(default)s)",
     )
+
+
+def _add_enum_flags(p: argparse.ArgumentParser) -> None:
+    """--subset-cap and --workers, the flags of the enumeration counter."""
     p.add_argument(
         "--subset-cap",
         type=_int_at_least(1),
         default=DEFAULT_SUBSET_CAP,
         help="refuse enumeration over more 4-subsets than this (default %(default)s)",
+    )
+    p.add_argument(
+        "--workers",
+        type=_int_at_least(1),
+        default=1,
+        help="worker processes for the enumeration counter, capped at the usable core "
+        "count; results are identical for any count",
     )
 
 
@@ -67,16 +78,6 @@ def _int_at_least(low: int, high: int | None = None) -> Callable[[str], int]:
     return parse
 
 
-def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        type=_int_at_least(1),
-        default=1,
-        help="worker processes for the enumeration counter, capped at the usable core "
-        "count; results are identical for any count",
-    )
-
-
 @functools.cache  # built on the first call, then reused by every later main() in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_int_at_least(0), required=True)
     p.add_argument("--input", help="base-graph edge list (custom family only)")
     p.add_argument("--out", required=True, help="output edge-list path")
-    _add_cap_flags(p)
+    _add_vertex_cap_flag(p)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("count", help="count induced 4-cycles in a graph")
@@ -102,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["enum", "diagonal", "both"], default="both")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="also write the JSON record here")
-    _add_cap_flags(p)
-    _add_workers_flag(p)
+    _add_vertex_cap_flag(p)
+    _add_enum_flags(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("formula", help="tabulate the exact formulas per level")
@@ -121,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["enum", "diagonal", "both"], default="both")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write the JSON report here")
-    _add_cap_flags(p)
-    _add_workers_flag(p)
+    _add_vertex_cap_flag(p)
+    _add_enum_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sequence", help="CSV of per-level counts from the formulas")
@@ -207,11 +208,12 @@ def _cmd_count(args) -> int:
         ],
         "agreed": agreed,
     }
+    text = json.dumps(record, indent=2)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(record, fh, indent=2)
+            fh.write(text)
     if args.format == "json":
-        print(json.dumps(record, indent=2))
+        print(text)
     else:
         for r in results:
             print(f"{r.method.value}: {r.value} [{r.elapsed:.3f}s]")
@@ -274,11 +276,12 @@ def _cmd_verify(args) -> int:
         input_path=args.input,
     )
     report = build_report(config, custom_base=_custom_base(args))
+    text = report.to_json() if args.out or args.format == "json" else None
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
     if args.format == "json":
-        print(report.to_json())
+        print(text)
     else:
         print(render_summary(report))
     if not report.passed:

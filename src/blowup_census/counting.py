@@ -21,8 +21,8 @@ Two deliberately independent algorithms, each exact:
   the later classes and within itself, each product row weighted by the
   number of non-edges it stands for.  The products are exact below 2**24
   vertices, and the size-weighted step after them runs in float64 (see
-  ``_diagonal_raw_sum``).  The method reads only the built
-  graph and uses no blow-up identity.
+  ``count_induced_c4_diagonal``).  The method reads only the built graph
+  and uses no blow-up identity.
 
 The two share nothing but the graph's packed rows, ``Graph.packed``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
@@ -256,9 +256,6 @@ def count_induced_c4_enum(
     a refusal is explicit, never a silently truncated count.
     """
     start = time.perf_counter()
-    if g.n < 4:
-        work = {"subsets": 0, "passes": 0}
-        return CountResult(0, Method.ENUMERATION, time.perf_counter() - start, work)
     subsets = comb(g.n, 4)
     if subsets > subset_cap:
         raise SubsetCapExceeded(
@@ -409,18 +406,20 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
     return doubled // 2
 
 
-def _diagonal_raw_sum(g: Graph, work: dict[str, int] | None = None) -> int:
-    """Raw diagonal sum, before halving; even for every simple graph.
+def count_induced_c4_diagonal(g: Graph) -> CountResult:
+    """Count induced 4-cycles via common neighborhoods of non-edges.
 
-    The matrix products run in float32.  Y's entries are class sizes m_c or
+    Refuses graphs of 2**24 or more vertices (VertexCapExceeded), on which
+    the float32 products could be inexact, before any matrix is allocated.
+
+    The products are exact below that.  Y's entries are class sizes m_c or
     0 and Q is 0/1.  A stack's classes C may reach beyond N(u), but the
     column of Y for a row of u is 0 outside S_v, which lies in N(u), so
     entry (c', v) of Q[C, C] @ Y is |N(w) & S_v| <= deg(u) < n for every c'
     in C, and the row of ones gives |S_v| <= deg(u); both are reached
-    through partial sums of non-negative integers that never exceed them.
-    While n < 2**24 each of these values is an integer that float32
-    represents exactly, so larger graphs are refused before any matrix is
-    allocated.  The weighted step sum_c' paths * Y is not: a single product
+    through partial sums of non-negative integers that never exceed them,
+    and each is an integer that float32 represents exactly while n < 2**24.
+    The weighted step sum_c' paths * Y is not: a single product
     |N(w) & S_v| * m_c', nonzero only for c' in S_v, can reach
     deg(u)**2 / 4 (w's class is outside N(w), so the two factors sum to at
     most |S_v|), above 2**24 once deg(u) > 2**13.  It runs in float64, where
@@ -430,23 +429,14 @@ def _diagonal_raw_sum(g: Graph, work: dict[str, int] | None = None) -> int:
     C(m_u, 2) non-edges, is below n**2 <= 2**48, so a weighted term could
     overflow int64: the weights multiply and add up as Python ints.
     """
+    start = time.perf_counter()
     if g.n >= FLOAT32_EXACT_LIMIT:
         raise VertexCapExceeded(
             f"the diagonal counter is exact only below {FLOAT32_EXACT_LIMIT} "
             f"(2**24) vertices, got {g.n}"
         )
-    return _diagonal_raw(g.packed, work)
-
-
-def count_induced_c4_diagonal(g: Graph) -> CountResult:
-    """Count induced 4-cycles via common neighborhoods of non-edges.
-
-    Refuses graphs of 2**24 or more vertices (VertexCapExceeded), on which
-    the float32 products could be inexact.
-    """
-    start = time.perf_counter()
     work: dict[str, int] = {}
-    raw = _diagonal_raw_sum(g, work)
+    raw = _diagonal_raw(g.packed, work)
     if raw % 2:
         raise CountParityError(f"diagonal raw sum {raw} is odd: counting bug")
     return CountResult(raw // 2, Method.DIAGONAL, time.perf_counter() - start, work)

@@ -93,10 +93,6 @@ class Rational:
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.numerator % self.denominator == 0
-
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 

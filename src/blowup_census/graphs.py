@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,13 +34,10 @@ __all__ = [
     "Family",
     "Graph",
     "GraphFormatError",
-    "NonEdge",
     "VertexCapExceeded",
     "base_graph",
-    "complete_graph",
     "compose",
     "cycle_graph",
-    "empty_graph",
     "nested_blowup",
     "non_edges",
     "read_edge_list",
@@ -68,13 +65,6 @@ class GraphFormatError(ValueError):
 
 class VertexCapExceeded(RuntimeError):
     """A construction would exceed the configured vertex cap."""
-
-
-class NonEdge(NamedTuple):
-    """Unordered non-adjacent pair, stored with u < v."""
-
-    u: int
-    v: int
 
 
 def _width(n: int) -> int:
@@ -129,11 +119,11 @@ class Graph:
             lo.append(min(u, v))
             hi.append(max(u, v))
         lo_ids, hi_ids = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-        packed = _rows_from_pairs(n, lo_ids, hi_ids)
-        if packed is None:
+        g = cls._from_packed(_rows_from_pairs(n, lo_ids, hi_ids))
+        if g.edge_count < len(lo):
             k = _first_repeat(lo_ids, hi_ids)
             raise ValueError(f"duplicate edge ({lo[k]}, {hi[k]})")
-        return cls._from_packed(packed)
+        return g
 
     def _adopt(self, packed: np.ndarray) -> None:
         n = len(packed)
@@ -170,19 +160,18 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Packed rows of the graph on n vertices whose edges are {lo[i], hi[i]},
-    or None when some pair occurs twice.
+def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Packed rows of the graph on n vertices whose edges are {lo[i], hi[i]}.
 
     Needs 0 <= lo[i] < hi[i] < n: then distinct pairs set distinct bits,
-    two each, and a repeat shows as fewer than 2 * len(lo) set bits.  The
-    pairs are grouped into row stripes of at most _VALIDATE_BLOCK_BYTES
-    cells by a stable sort of their stripe numbers, unless they come
-    grouped (as sorted pairs do); each stripe's cells above the diagonal
-    are set by one fancy assignment and packed.  With several stripes the
-    lower triangle is the transpose of the upper one; a graph small enough
-    for one stripe sets its cells below the diagonal there too, which
-    spares small graphs the fixed cost of the transpose.
+    and a repeated pair shows as an edge count below len(lo).  The pairs are
+    grouped into row stripes of at most _VALIDATE_BLOCK_BYTES cells by a
+    stable sort of their stripe numbers, unless they come grouped (as
+    sorted pairs do); each stripe's cells above the diagonal are set by one
+    fancy assignment and packed.  With several stripes the lower triangle
+    is the transpose of the upper one; a graph small enough for one stripe
+    sets its cells below the diagonal there too, which spares small graphs
+    the fixed cost of the transpose.
     """
     width = _width(n)
     packed = np.zeros((n, width), dtype=np.uint8)
@@ -219,8 +208,6 @@ def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | Non
             c1 = min(c0 + columns, width)
             mirror = _transposed_rows(packed[: 8 * c1, c0:c1])
             packed[8 * c0 : 8 * c1, :c1] |= mirror[: n - 8 * c0]
-    if int(np.bitwise_count(packed).sum()) < 2 * len(lo):
-        return None
     return packed
 
 
@@ -338,14 +325,6 @@ def theta_222() -> Graph:
     return Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph._from_packed(np.packbits(~np.eye(n, dtype=bool), axis=1, bitorder="little"))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph._from_packed(np.zeros((n, _width(n)), dtype=np.uint8))
-
-
 # ---------------------------------------------------------------------------
 # Composition and nested blow-up
 # ---------------------------------------------------------------------------
@@ -406,18 +385,38 @@ def base_graph(family: Family | str, custom: Graph | None = None) -> Graph:
     return custom
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_order(subject: str, n: int, vertex_cap: int) -> None:
+    """Refuse (VertexCapExceeded) a graph of n vertices, named ``subject``
+    in the message, above ``vertex_cap`` or whose packed rows would not fit
+    in physical memory; called before anything of it is allocated."""
+    if n > vertex_cap:
+        raise VertexCapExceeded(
+            f"{subject} has {n} vertices, above the cap of {vertex_cap}; raise --vertex-cap to proceed"
+        )
+    need, memory = n * _width(n), _physical_memory()
+    if memory is not None and need > memory:
+        raise VertexCapExceeded(
+            f"{subject} has {n} vertices, whose packed rows would take {need} bytes "
+            f"({need / 2**30:.1f} GiB), more than the {memory} bytes of physical memory"
+        )
+
+
 def nested_blowup(base: Graph, level: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """G_N for N = ``level``: G_0 = base, G_N = base[G_{N-1}], with
     |V(base)|^(N+1) vertices; refused (VertexCapExceeded) above
-    ``vertex_cap`` before anything is built."""
+    ``vertex_cap``, or when its packed rows would not fit in physical
+    memory, before anything is built."""
     if level < 0:
         raise ValueError("blow-up level must be nonnegative")
-    order = base.n ** (level + 1)
-    if order > vertex_cap:
-        raise VertexCapExceeded(
-            f"level {level} has {order} vertices, above the cap of {vertex_cap}; "
-            "raise --vertex-cap to proceed"
-        )
+    _check_order(f"level {level}", base.n ** (level + 1), vertex_cap)
     g = base
     for _ in range(level):
         g = compose(base, g)
@@ -429,12 +428,12 @@ def nested_blowup(base: Graph, level: int, *, vertex_cap: int = DEFAULT_VERTEX_C
 # ---------------------------------------------------------------------------
 
 
-def non_edges(g: Graph) -> Iterator[NonEdge]:
+def non_edges(g: Graph) -> Iterator[tuple[int, int]]:
     """All non-adjacent pairs (u, v) with u < v, ascending."""
     for u, row in enumerate(g.packed):
         cells = np.unpackbits(row, count=g.n, bitorder="little")
         for v in np.flatnonzero(cells[u + 1 :] == 0).tolist():
-            yield NonEdge(u, u + 1 + v)
+            yield u, u + 1 + v
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +560,6 @@ def _canonical_body(text: str, start: int) -> bytes | None:
     return data
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def read_edge_list(text: str, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Parse edge-list text (see the format above) into a Graph.
 
@@ -589,18 +580,7 @@ def read_edge_list(text: str, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         raise GraphFormatError(f"line {lineno}: vertex count expected, got {raw.strip()!r}")
     if n < 0:
         raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
-    if n > vertex_cap:
-        raise VertexCapExceeded(
-            f"line {lineno}: the edge list has {n} vertices, above the cap of "
-            f"{vertex_cap}; raise --vertex-cap to proceed"
-        )
-    need, memory = n * _width(n), _physical_memory()
-    if memory is not None and need > memory:
-        raise VertexCapExceeded(
-            f"line {lineno}: the edge list has {n} vertices, whose packed rows would "
-            f"take {need} bytes ({need / 2**30:.1f} GiB), more than the {memory} bytes "
-            "of physical memory"
-        )
+    _check_order(f"line {lineno}: the edge list", n, vertex_cap)
     start = head.end()
     # Canonical text has no line the scan would reject but one with an id of
     # 19 or more digits after any leading zeros; that id is at least 10**18,
@@ -633,8 +613,8 @@ def read_edge_list(text: str, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         raise _edge_line_error(*edge_line(int(faulty.argmax())), n)
     if bad is not None:
         raise _edge_line_error(*_line_at(text, bad.start() + 1), n)
-    packed = _rows_from_pairs(n, lo, hi)
-    if packed is None:
+    g = Graph._from_packed(_rows_from_pairs(n, lo, hi))
+    if g.edge_count < len(lo):
         k = _first_repeat(lo, hi)
         raise GraphFormatError(f"line {edge_line(k)[0]}: duplicate edge ({lo[k]}, {hi[k]})")
-    return Graph._from_packed(packed)
+    return g

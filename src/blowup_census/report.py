@@ -44,7 +44,7 @@ from .formulas import (
     base_invariants,
     blowup_levels,
 )
-from .graphs import DEFAULT_VERTEX_CAP, Family, Graph, base_graph, compose
+from .graphs import DEFAULT_VERTEX_CAP, Family, Graph, VertexCapExceeded, _check_order, base_graph, compose
 
 __all__ = [
     "SKIPPED_CAP",
@@ -225,10 +225,11 @@ def _compare(a: Any, b: Any) -> bool | str:
 def _build_level(
     base: Graph, n: int, below: Graph | None, config: RunConfig, rules: list[LevelCounts], findings: list[Finding]
 ) -> tuple[LevelRecord, Graph | None]:
-    """Level ``n``'s record and graph (None over the vertex cap): ``base``
-    composed with ``below``, the graph of the level under it.  ``rules``, the
-    counts of every level by the composition rule, is filled at level 0 from
-    the base's own counts there, so each counter runs once on the base."""
+    """Level ``n``'s record and graph (None over the vertex cap or physical
+    memory): ``base`` composed with ``below``, the graph of the level under
+    it.  ``rules``, the counts of every level by the composition rule, is
+    filled at level 0 from the base's own counts there, so each counter runs
+    once on the base."""
     bundle = FORMULAS.get(config.family.value)
     order = base.n ** (n + 1)
     timings: dict[str, float] = {}
@@ -243,7 +244,11 @@ def _build_level(
         stated = derived = None
 
     graph: Graph | None = None
-    if order <= config.vertex_cap:
+    try:
+        _check_order(f"level {n}", order, config.vertex_cap)
+    except VertexCapExceeded:
+        pass
+    else:
         t0 = time.perf_counter()
         graph = base if n == 0 else compose(base, below)
         timings["build"] = time.perf_counter() - t0

@@ -1,10 +1,10 @@
-"""Shared test utilities: a seeded random-graph model, a deliberately naive
-induced-4-cycle oracle and a per-line edge-list parser, both sharing no code
-with the package beyond the Graph type, the per-vertex diagonal sum the
-package's quotient one must equal, substitution of unequal blobs, small
-adjacency queries on a Graph's rows, and the oracles for the packed layers:
-validation on unpacked row stripes, composition on Python-int rows, and
-blow-up edge lists by the digit rule."""
+"""Shared test utilities: a seeded random-graph model, the complete and
+empty graphs, a deliberately naive induced-4-cycle oracle and a per-line
+edge-list parser, both sharing no code with the package beyond the Graph
+type, the per-vertex diagonal sum the package's quotient one must equal,
+substitution of unequal blobs, small adjacency queries on a Graph's rows,
+and the oracles for the packed layers: validation on unpacked row stripes,
+composition on Python-int rows, and blow-up edge lists by the digit rule."""
 
 from __future__ import annotations
 
@@ -22,6 +22,14 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph._from_packed(np.packbits(~np.eye(n, dtype=bool), axis=1, bitorder="little"))
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph._from_packed(np.zeros((n, (n + 7) >> 3), dtype=np.uint8))
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:

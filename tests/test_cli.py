@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -17,10 +18,10 @@ from blowup_census import (
     nested_blowup,
     read_edge_list,
     write_edge_list,
-    complete_graph,
 )
 from blowup_census import cli, graphs
 from blowup_census.cli import main
+from helpers import complete_graph
 
 
 def test_main_builds_its_parser_once(capsys):
@@ -127,7 +128,7 @@ def test_count_json_record(tmp_path, capsys):
         "enum": {"subsets": 1820, "passes": 1},
         "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1},
     }
-    assert json.loads(capsys.readouterr().out) == record
+    assert capsys.readouterr().out == out.read_text() + "\n"
 
 
 def test_count_reads_its_graph_like_generate(tmp_path, capsys):
@@ -224,10 +225,17 @@ def test_verify_exit_zero_with_findings(tmp_path, capsys):
     assert len(report.findings) == 2
 
 
-def test_verify_json_stdout(capsys):
-    code = main(["verify", "--family", "theta222", "--max-level", "0", "--format", "json"])
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
+def test_verify_json_stdout(tmp_path, capsys, monkeypatch):
+    serialized = []
+    to_json = VerificationReport.to_json
+    monkeypatch.setattr(VerificationReport, "to_json", lambda self: serialized.append(1) or to_json(self))
+    out = tmp_path / "report.json"
+    argv = ["verify", "--family", "theta222", "--max-level", "0", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    # one serialization, written to the file and printed
+    assert serialized == [1] and stdout == out.read_text() + "\n"
+    data = json.loads(stdout)
     assert data["family"] == "theta222"
     assert data["levels"][0]["T_enum"] == 3
     # where the report went and how it was shown are not part of the report
@@ -341,6 +349,26 @@ def test_input_beyond_physical_memory_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["count", "--input", str(path)]) == 0
 
 
+def test_build_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # c4 level 2 has 64 vertices, 64 packed rows of 8 bytes
+    out = tmp_path / "c4.edges"
+    argv = ["generate", "--family", "c4", "--level", "2", "--out", str(out)]
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 511)
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: level 2 has 64 vertices, whose packed rows would take 512 bytes (0.0 GiB), "
+        "more than the 511 bytes of physical memory\n"
+    )
+    assert main(["verify", "--family", "c4", "--max-level", "2", "--format", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert [rec["T_diagonal"] for rec in levels] == [1, 404, "skipped: cap"]
+    assert levels[2]["match_flags"]["edges_formula_vs_graph"] == "skipped: cap"
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 512)
+    assert main(argv) == 0
+    assert read_edge_list(out.read_text()) == nested_blowup(base_graph(Family.C4), 2)
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["count", "--input", "/nonexistent/g.edges"]) == 2
 
@@ -379,6 +407,48 @@ def test_workers_below_one_rejected(command, flag, value, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_generate_takes_no_enumeration_flags(capsys):
+    # --subset-cap and --workers belong to count and verify, which enumerate
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--family", "c4", *_LEVEL_ARGS["generate"], "--subset-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --subset-cap 5" in capsys.readouterr().err
+
+
+class _ReadRecorder:
+    """Parsed arguments that note which of them are read."""
+
+    def __init__(self, values: dict) -> None:
+        self._values, self.read = values, set()
+
+    def __getattr__(self, name: str):
+        if name not in self._values:
+            raise AttributeError(name)
+        self.read.add(name)
+        return self._values[name]
+
+
+def test_every_parsed_flag_is_read(tmp_path, capsys):
+    argvs = {
+        "generate": ["--family", "c4", "--level", "0", "--out", str(tmp_path / "g.edges")],
+        "count": ["--family", "c4", "--level", "0"],
+        "formula": ["--family", "c4", "--max-level", "0"],
+        "verify": ["--family", "c4", "--max-level", "0"],
+        "sequence": ["--family", "c4", "--max-level", "0"],
+    }
+    parser = cli._build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(argvs) == set(commands)
+    unread = {}
+    for command, argv in argvs.items():
+        values = vars(parser.parse_args([command, *argv]))
+        args = _ReadRecorder(values)
+        assert values["func"](args) == 0
+        unread[command] = set(values) - args.read - {"command", "func"}
+    capsys.readouterr()
+    assert unread == {command: set() for command in argvs}
 
 
 def test_module_entry_point(tmp_path):

@@ -21,22 +21,22 @@ from blowup_census import (
     SubsetCapExceeded,
     VertexCapExceeded,
     base_graph,
-    complete_graph,
     compose,
     count_induced_c4,
     count_induced_c4_diagonal,
     count_induced_c4_enum,
     cycle_graph,
-    empty_graph,
     nested_blowup,
     theta_222,
 )
 from blowup_census import counting
-from blowup_census.counting import _diagonal_raw, _diagonal_raw_sum, _pool_size, _twin_classes
+from blowup_census.counting import _diagonal_raw, _pool_size, _twin_classes
 from helpers import (
     brute_force_c4_count,
+    complete_graph,
     dense_adjacency,
     edges,
+    empty_graph,
     random_graph,
     reference_diagonal_raw,
     relabel,
@@ -511,7 +511,9 @@ def test_diagonal_work_counters(monkeypatch):
                 adjacency[u].bit_count() for u in range(g.n) if far[u]
             )
     assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5, "passes": 1}
-    assert count_induced_c4_enum(cycle_graph(3)).work == {"subsets": 0, "passes": 0}
+    for g in (empty_graph(0), empty_graph(1), complete_graph(2), cycle_graph(3)):
+        result = count_induced_c4_enum(g)
+        assert (result.value, result.work) == (0, {"subsets": 0, "passes": 0})
     # a 100-vertex graph: four runs of c, one pass each
     assert count_induced_c4_enum(random_graph(100, 0.5, 1)).work == {
         "subsets": comb(100, 4),
@@ -520,7 +522,7 @@ def test_diagonal_work_counters(monkeypatch):
 
 
 def test_odd_raw_sum_raises(monkeypatch):
-    monkeypatch.setattr(counting, "_diagonal_raw_sum", lambda g, work: 3)
+    monkeypatch.setattr(counting, "_diagonal_raw", lambda packed, work: 3)
     with pytest.raises(CountParityError, match="odd"):
         count_induced_c4_diagonal(cycle_graph(4))
 
@@ -624,7 +626,7 @@ def test_dispatch_reads_the_counters_at_call_time(monkeypatch):
 def test_diagonal_raw_sum_even():
     for seed in range(20):
         g = random_graph(4 + seed, 0.45, seed)
-        raw = _diagonal_raw_sum(g)
+        raw = _diagonal_raw(g.packed)
         assert raw % 2 == 0
         assert raw // 2 == count_induced_c4_diagonal(g).value
 

@@ -21,9 +21,9 @@ from blowup_census import (
     VerificationReport,
     build_report,
     cycle_graph,
-    empty_graph,
     render_summary,
 )
+from helpers import empty_graph
 
 
 def _config(**overrides) -> RunConfig:
