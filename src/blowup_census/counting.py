@@ -20,9 +20,11 @@ Two deliberately independent algorithms, each exact:
   union of their neighbourhoods, covers the non-edges of each class with
   the later classes and within itself, each product row weighted by the
   number of non-edges it stands for.  The products are exact below 2**24
-  vertices, and the size-weighted step after them runs in float64 (see
-  ``count_induced_c4_diagonal``).  The method reads only the built graph
-  and uses no blow-up identity.
+  vertices; the weighted sums after them run in float32 up to 4096
+  vertices and in float64 beyond, and the rows are weighted in int64 up to
+  2**15 vertices and in Python ints beyond, each where a written bound
+  keeps it exact (see ``count_induced_c4_diagonal``).  The method reads
+  only the built graph and uses no blow-up identity.
 
 The two share nothing but the graph's packed rows, ``Graph.packed``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
@@ -43,6 +45,7 @@ from operator import mul
 
 import numpy as np
 
+from . import graphs
 from .graphs import Graph, VertexCapExceeded
 
 __all__ = [
@@ -78,7 +81,9 @@ class CountResult:
     """A count with its wall time and work counters: ``subsets`` scanned and
     chunk ``passes`` made for enumeration; distinct ``neighbourhoods``,
     product ``rows``, the union ``columns`` of each stack's classes (summed
-    over products) and the products (``passes``) for the diagonal method."""
+    over products), the products (``passes``) and a bound on the peak
+    ``bytes`` of the large arrays (the quotient's and the largest pass's,
+    see ``_diagonal_bytes``) for the diagonal method."""
 
     value: int
     method: Method
@@ -296,34 +301,45 @@ def count_induced_c4_enum(
 #
 # For a representative u, the product rows are the later classes v it does
 # not see, each standing for m_u * m_v non-edges, and u's own class, standing
-# for C(m_u, 2), when m_u > 1.  Column v of Y holds the classes of S_v, entry
-# c scaled by m_c, so it sums to |S_v|.  On a set C of classes that holds
-# N(u), column v of Q[C, C] @ Y holds |N(w) & S_v| for a w in each class of
-# C, and its sum weighted by column v of Y is 2 e(S_v); a row of ones
-# appended to Q[C, C] gives |S_v| from the same product.  In a twin-free
-# graph every class is a single vertex and every weight 1.
+# for C(m_u, 2), when m_u > 1.  Row v of Y holds the classes of S_v, entry c
+# scaled by m_c, so it sums to |S_v|.  On a set C of classes that holds N(u),
+# row v of Y @ Q[C, C] holds |N(w) & S_v| for a w in each class of C, and
+# its sum weighted by row v of Y is 2 e(S_v); a column of ones appended to
+# Q[C, C] gives |S_v| from the same product.  In a twin-free graph every
+# class is a single vertex and every weight 1.
 #
 # Representatives are taken in stacks, runs of consecutive representatives
 # that get product rows, and each stack is one product.  C is the union of
-# its members' neighbourhoods by class, and the column of member u's row v
-# is Q[C, v] & Q[C, u]: S_v stays inside N(u), and the classes of C outside
-# N(u) only add zeros.  A lone member's C is N(u), where Q[C, u] is all
-# ones.  A stack is as long as Y and the product, (|C| + 1) x rows float32
+# its members' neighbourhoods by class, and member u's row v of Y is
+# Q[v, C] & Q[u, C]: S_v stays inside N(u), and the classes of C outside
+# N(u) only add zeros.  A lone member's C is N(u), where Q[u, C] is all
+# ones.  A stack is as long as Y and the product, rows x (|C| + 1) float32
 # each, and the (|C| + 1)^2 block of Q fit the budget below, and at least
 # one representative: one whose rows alone exceed the budget is a stack by
 # itself, on the classes of its own neighbourhood.  Stack ends come from
 # the cumulative row count and a cumulative OR of the members' packed
 # quotient rows, over the window of members whose rows fit the budget at
-# the first member's width.  Q is symmetric, so the rows of C, gathered
-# once, give Y's columns and Q's block alike: no pass copies a product
-# row's full row of Q.
+# the first member's width.  Each pass copies Q[:, C], the columns C of
+# every class, once, as the transpose of the rows Q[C, :]: Q is symmetric,
+# so Y's rows, the mask rows and Q's block are then row gathers from it,
+# never column gathers.
 
 # float32 represents every integer below 2**24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
 
 # A stack's float32 operands, Y, Q's block and their product, each hold at
-# most this many bytes, unless the stack is one representative.
-_DIAGONAL_BLOCK_BYTES = 1 << 17
+# most this many bytes, unless the stack is one representative.  Chosen by
+# a sweep from 128 KiB to 1 MiB (BENCH_diagonal_pass.json): larger stacks
+# save passes, but the operands are most of the counter's peak memory.
+_DIAGONAL_BLOCK_BYTES = 3 << 16
+
+# The largest order whose weighted sums 2 e(S_v) <= deg(u)^2 stay below
+# 2**24, so that they are taken in float32; above it, in float64.
+_FLOAT32_SUM_ORDER = 1 << 12
+
+# The largest order whose doubled count 4 T < n^4 / 6 stays below 2**63, so
+# that the rows are weighted by one int64 dot; above it, in Python ints.
+_INT64_DOT_ORDER = 1 << 15
 
 
 def _twin_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,21 +352,50 @@ def _twin_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.bincount(label, minlength=len(packed)).take(reps)
 
 
+def _diagonal_bytes(k: int, width: int = 0, rows: int = 0) -> int:
+    """A bound on the bytes of the diagonal counter's large arrays on a
+    quotient of k classes: the bool quotient and far matrices and one
+    temporary beside them, at most (k + 1)^2 each; plus, for a pass on
+    ``width`` union columns (the class of ones among them) and ``rows``
+    product rows, every array the pass makes as if all were live at once:
+    the rows Q[C, :] and their transposed copy, (k + 1) x width bool each;
+    Y's two row gathers (rows x width) and Q's block (width^2) in bool and
+    again in float32; the product in float32; and the row-length arrays,
+    at most nine of 8 bytes and one of 1 at a time.  The representatives'
+    packed rows, the stack bookkeeping and buffers inside numpy and BLAS
+    are not counted."""
+    return 3 * (k + 1) ** 2 + 2 * (k + 1) * width + 5 * width * (2 * rows + width) + 73 * rows
+
+
 def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int:
     """Sum over non-edges {u, v} of the non-adjacent pairs in N(u) & N(v),
     from the packed (n, ceil(n/8)) rows, computed per stack of
     representatives as the weighted sum of C(s_v, 2) - e(S_v) over its
     product rows.
 
-    ``work``, when given, receives the number of distinct neighbourhoods,
-    of product rows, of union columns multiplied (summed over products) and
-    of products (``passes``)."""
+    Refuses (VertexCapExceeded) a quotient whose matrices would exceed
+    physical memory, before they are allocated.  ``work``, when given,
+    receives the number of distinct neighbourhoods, of product rows, of
+    union columns multiplied (summed over products), of products
+    (``passes``) and the bound ``_diagonal_bytes`` on the peak ``bytes``:
+    the quotient's and the largest pass's."""
+    n = len(packed)
+    # the arithmetic after the products, chosen from n alone (see
+    # count_induced_c4_diagonal for the bounds)
+    sums = np.float32 if n <= _FLOAT32_SUM_ORDER else np.float64
+    int64_dot = n <= _INT64_DOT_ORDER
     reps, size = _twin_classes(packed)
     k = len(reps)
+    need, memory = _diagonal_bytes(k), graphs._physical_memory()
+    if memory is not None and need > memory:
+        raise VertexCapExceeded(
+            f"the diagonal counter's quotient on {k} classes of equal rows would take "
+            f"{need} bytes ({need / 2**30:.1f} GiB), more than the {memory} bytes of physical memory"
+        )
     rep_rows = packed.take(reps, 0)
     # adj[i, j]: representative i sees representative j.  Row and column k,
-    # a class of size 0 that sees every class, give each product a row of
-    # ones, so that it also sums its columns.
+    # a class of size 0 that sees every class, give each product a column
+    # of ones, so that it also sums its rows.
     adj = np.zeros((k + 1, k + 1), dtype=bool)
     adj[:k, :k] = rep_rows.take(reps >> 3, 1) >> (reps & 7).astype(np.uint8) & 1
     adj[:k, k] = adj[k, :k] = True
@@ -369,6 +414,7 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
     alone = np.bitwise_count(bits).sum(axis=1, dtype=np.int64).tolist()
     budget = _DIAGONAL_BLOCK_BYTES
     doubled = columns = passes = start = 0
+    peak = need
     while start < len(members):
         # the union is at least the first member's columns, which bounds the window
         before = ends[start]
@@ -384,25 +430,27 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
         lo = members[start]  # far is empty on the rows between members
         u, v = far[lo : members[stop - 1] + 1].nonzero()
         u += lo
-        g = adj.take(cols, 0)  # Q[C, :]
-        y = g[:, v]
+        g = np.ascontiguousarray(adj.take(cols, 0).T)  # Q[:, C], by symmetry
+        y = g.take(v, 0)
         if stop - start > 1:
-            y &= g[:, u]
-        y = np.multiply(y, scale.take(cols)[:, None], dtype=np.float32)
-        paths = np.matmul(g[:, cols].astype(np.float32), y)
-        s = paths[-1]  # |S_v|
-        twice_edges = np.einsum("ij,ij->j", paths, y, dtype=np.float64)
+            y &= g.take(u, 0)
+        y = y.astype(np.float32)
+        y *= scale.take(cols)
+        paths = np.matmul(y, g.take(cols, 0).astype(np.float32))
+        s = paths[:, -1].astype(sums)  # |S_v|
+        twice_edges = np.einsum("ij,ij->i", paths, y, dtype=sums)
         # twice the non-adjacent pairs in each S_v: |S_v| (|S_v| - 1) - 2 e(S_v)
-        pairs = (np.multiply(s, s - 1, dtype=np.float64) - twice_edges).astype(np.int64)
+        pairs = (s * (s - 1) - twice_edges).astype(np.int64)
         if (pairs & 1).any():
             raise CountParityError("handshake parity violated: adjacency is not symmetric")
         weights = np.where(u == v, inside.take(u), size.take(u) * size.take(v))
-        doubled += sum(map(mul, weights.tolist(), pairs.tolist()))
+        doubled += int(weights @ pairs) if int64_dot else sum(map(mul, weights.tolist(), pairs.tolist()))
         columns += len(cols) - 1
+        peak = max(peak, _diagonal_bytes(k, len(cols), len(v)))
         passes += 1
         start = stop
     if work is not None:
-        work.update(neighbourhoods=k, rows=int(ends[-1]), columns=columns, passes=passes)
+        work.update(neighbourhoods=k, rows=int(ends[-1]), columns=columns, passes=passes, bytes=peak)
     return doubled // 2
 
 
@@ -410,24 +458,33 @@ def count_induced_c4_diagonal(g: Graph) -> CountResult:
     """Count induced 4-cycles via common neighborhoods of non-edges.
 
     Refuses graphs of 2**24 or more vertices (VertexCapExceeded), on which
-    the float32 products could be inexact, before any matrix is allocated.
+    the float32 products could be inexact, before any matrix is allocated;
+    and, on the estimate of ``_diagonal_bytes``, a quotient whose matrices
+    would not fit in physical memory.
 
-    The products are exact below that.  Y's entries are class sizes m_c or
-    0 and Q is 0/1.  A stack's classes C may reach beyond N(u), but the
-    column of Y for a row of u is 0 outside S_v, which lies in N(u), so
-    entry (c', v) of Q[C, C] @ Y is |N(w) & S_v| <= deg(u) < n for every c'
-    in C, and the row of ones gives |S_v| <= deg(u); both are reached
-    through partial sums of non-negative integers that never exceed them,
-    and each is an integer that float32 represents exactly while n < 2**24.
-    The weighted step sum_c' paths * Y is not: a single product
-    |N(w) & S_v| * m_c', nonzero only for c' in S_v, can reach
-    deg(u)**2 / 4 (w's class is outside N(w), so the two factors sum to at
-    most |S_v|), above 2**24 once deg(u) > 2**13.  It runs in float64, where
-    every product, partial sum and the result 2 e(S_v) <= deg(u)**2 < 2**48
-    is an integer below 2**53, so exact; so are |S_v| (|S_v| - 1) < 2**48
-    and the difference, converted to int64.  A row's weight, m_u * m_v or
-    C(m_u, 2) non-edges, is below n**2 <= 2**48, so a weighted term could
-    overflow int64: the weights multiply and add up as Python ints.
+    Every step below 2**24 vertices is exact integer arithmetic:
+
+    * The products, in float32.  Y's entries are class sizes m_c or 0 and
+      Q is 0/1.  A stack's classes C may reach beyond N(u), but Y's row v
+      for a row of u is 0 outside S_v, which lies in N(u), so entry
+      (v, c') of Y @ Q[C, C] is |N(w) & S_v| <= deg(u) < n for every c' in
+      C, and the column of ones gives |S_v| <= deg(u).  Both are reached
+      through partial sums of non-negative integers that never exceed
+      them, in any order of summation, and float32 represents each
+      exactly while n < 2**24.
+    * The weighted sum 2 e(S_v) = sum_c' paths * Y of each row, in float32
+      up to n = 4096 (``_FLOAT32_SUM_ORDER``), else in float64.  A term
+      |N(w) & S_v| * m_c' is nonzero only for c' in S_v, where the two
+      factors sum to at most |S_v| (w's class is outside N(w)), and every
+      partial sum is at most 2 e(S_v) <= |S_v| (|S_v| - 1) < deg(u)**2.
+      That is below 4095**2 < 2**24 up to n = 4096, and below 2**48 <
+      2**53 beyond, so the sums, |S_v| (|S_v| - 1) and their difference
+      are exact integers before they are converted to int64.
+    * The row weighting, one int64 dot up to n = 2**15
+      (``_INT64_DOT_ORDER``), else Python ints.  Each term, a row's weight
+      m_u * m_v or C(m_u, 2) times its even pair count, is non-negative,
+      and they add up to twice the raw sum, 4 T <= 4 C(n, 4) < n**4 / 6,
+      which is below 2**63 while n <= 2**15.
     """
     start = time.perf_counter()
     if g.n >= FLOAT32_EXACT_LIMIT:

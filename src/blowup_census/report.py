@@ -262,7 +262,7 @@ def _build_level(
         else:
             try:
                 result = count_induced_c4(graph, method, subset_cap=config.subset_cap, workers=config.workers)
-            except SubsetCapExceeded:
+            except (SubsetCapExceeded, VertexCapExceeded):
                 counts.append(SKIPPED_CAP)
                 continue
             counts.append(result.value)

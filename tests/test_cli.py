@@ -126,7 +126,7 @@ def test_count_json_record(tmp_path, capsys):
     }
     assert {r["method"]: r["work"] for r in record["results"]} == {
         "enum": {"subsets": 1820, "passes": 1},
-        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1},
+        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1, "bytes": 3418},
     }
     assert capsys.readouterr().out == out.read_text() + "\n"
 
@@ -345,8 +345,9 @@ def test_input_beyond_physical_memory_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 31)
     assert main(["count", "--input", str(path)]) == 2
     assert "16 vertices, whose packed rows would take 32 bytes" in capsys.readouterr().err
+    # 32 bytes hold the rows; the diagonal counter's quotient needs more
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 32)
-    assert main(["count", "--input", str(path)]) == 0
+    assert main(["count", "--input", str(path), "--method", "enum"]) == 0
 
 
 def test_build_beyond_physical_memory(tmp_path, capsys, monkeypatch):
@@ -367,6 +368,25 @@ def test_build_beyond_physical_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 512)
     assert main(argv) == 0
     assert read_edge_list(out.read_text()) == nested_blowup(base_graph(Family.C4), 2)
+
+
+def test_diagonal_beyond_physical_memory(capsys, monkeypatch):
+    # c4 level 1: 16 vertices in 8 classes of equal rows, whose quotient
+    # matrices take 3 * 9^2 = 243 bytes; the refusal comes from that
+    # estimate, before any quotient matrix is allocated
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 242)
+    assert main(["count", "--family", "c4", "--level", "1", "--method", "diagonal"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the diagonal counter's quotient on 8 classes of equal rows would take 243 bytes "
+        "(0.0 GiB), more than the 242 bytes of physical memory\n"
+    )
+    assert main(["verify", "--family", "c4", "--max-level", "1", "--format", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert [(rec["T_enum"], rec["T_diagonal"]) for rec in levels] == [(1, 1), (404, "skipped: cap")]
+    assert "diagonal" not in levels[1]["work"]
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 243)
+    assert main(["count", "--family", "c4", "--level", "1", "--method", "diagonal"]) == 0
+    assert "diagonal: 404" in capsys.readouterr().out
 
 
 def test_missing_file_exit_code(capsys):

@@ -30,6 +30,7 @@ from blowup_census import (
     theta_222,
 )
 from blowup_census import counting
+from blowup_census import graphs as graphs_module
 from blowup_census.counting import _diagonal_raw, _pool_size, _twin_classes
 from helpers import (
     brute_force_c4_count,
@@ -408,6 +409,61 @@ def test_diagonal_stacks_across_budgets(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "float32_order, int64_order, sums, int64_dot",
+    [
+        (counting._FLOAT32_SUM_ORDER, counting._INT64_DOT_ORDER, np.float32, True),
+        (-1, counting._INT64_DOT_ORDER, np.float64, True),
+        (-1, -1, np.float64, False),
+    ],
+    ids=["float32-sums-int64-dot", "float64-sums-int64-dot", "float64-sums-python-ints"],
+)
+def test_diagonal_arithmetic_regimes(monkeypatch, float32_order, int64_order, sums, int64_dot):
+    # the orders at which the weighted sums leave float32 and the row
+    # weighting leaves int64, moved below every test graph to run the
+    # arithmetic that larger graphs take
+    graphs = _planted_twin_graphs()
+    expected = [reference_diagonal_raw(dense_adjacency(g)) for g in graphs]
+    dtypes = set()
+    products = 0
+    real_einsum = np.einsum
+
+    def spy_einsum(*args, **kwargs):
+        dtypes.add(kwargs["dtype"])
+        return real_einsum(*args, **kwargs)
+
+    def spy_mul(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(counting, "_FLOAT32_SUM_ORDER", float32_order)
+    monkeypatch.setattr(counting, "_INT64_DOT_ORDER", int64_order)
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    monkeypatch.setattr(counting, "mul", spy_mul)
+    for g, raw in zip(graphs, expected):
+        assert _diagonal_raw(g.packed) == raw, f"rows={g.rows}"
+        value = count_induced_c4_diagonal(g).value
+        assert value == count_induced_c4_enum(g).value == raw // 2
+        if g.n <= 14:
+            assert value == brute_force_c4_count(g)
+    assert dtypes == {sums}
+    assert (products == 0) == int64_dot
+
+
+def test_diagonal_quotient_beyond_physical_memory(monkeypatch):
+    # c4 L1 has 8 classes of equal rows: 3 * 9^2 = 243 bytes of quotient,
+    # refused from that estimate before any matrix is allocated
+    g = nested_blowup(base_graph(Family.C4), 1)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 242)
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", None)
+        with pytest.raises(VertexCapExceeded, match="8 classes of equal rows would take 243 bytes"):
+            count_induced_c4_diagonal(g)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 243)
+    assert count_induced_c4_diagonal(g).value == 404
+
+
+@pytest.mark.parametrize(
     "g, expected",
     [
         (compose(complete_graph(3), empty_graph(2)), 3),  # K_{2,2,2}: one C4 per pair of parts
@@ -475,6 +531,18 @@ def _stacks(members: list[tuple[int, set[int]]], budget: int) -> list[tuple[int,
     return stacks
 
 
+def _peak_bytes(k: int, stacks: list[tuple[int, set[int]]]) -> int:
+    """The quotient's bool matrices, 3 (k + 1)^2 bytes, plus the largest
+    pass on w columns (its union and the class of ones) and r rows: the
+    rows Q[C, :] and their transpose, 2 (k + 1) w bool; Y's two gathers
+    (r x w) and Q's block (w x w) in bool and in float32, and the product
+    (r x w) in float32; 73 bytes a row for the row-length arrays."""
+    widths = [(rows, len(union) + 1) for rows, union in stacks]
+    return 3 * (k + 1) ** 2 + max(
+        (2 * (k + 1) * w + 10 * rows * w + 5 * w * w + 73 * rows for rows, w in widths), default=0
+    )
+
+
 def test_diagonal_work_counters(monkeypatch):
     # rows are the members' product rows; each stack is one pass on the
     # union of its members' classes.  At a budget of 1 byte every stack is
@@ -491,6 +559,7 @@ def test_diagonal_work_counters(monkeypatch):
                 "rows": rows,
                 "columns": sum(len(union) for _, union in stacks),
                 "passes": len(stacks),
+                "bytes": _peak_bytes(len(classes), stacks),
             }
         monkeypatch.undo()
         if len(classes) == g.n:
@@ -560,7 +629,24 @@ def test_weighted_step_is_exact_beyond_float32():
     result = count_induced_c4_diagonal(Graph(3 * part, rows))
     assert result.value == 3 * comb(part, 2) ** 2 == 211209324331008
     # one stack: each class's own row, on the union of the three classes
-    assert result.work == {"neighbourhoods": 3, "rows": 3, "columns": 3, "passes": 1}
+    assert result.work == {"neighbourhoods": 3, "rows": 3, "columns": 3, "passes": 1, "bytes": 499}
+
+
+def test_float32_sums_would_be_inexact_beyond_their_order(monkeypatch):
+    # K_{4097,4097,4098}: above _FLOAT32_SUM_ORDER the weighted sums run in
+    # float64 and the count is exact; with the order moved up to n they run
+    # in float32, where 4097 * 4098 and |S_v| (|S_v| - 1) round, and the
+    # count comes out wrong
+    sizes = (4097, 4097, 4098)
+    full = (1 << sum(sizes)) - 1
+    rows = []
+    for first, size in zip((0, 4097, 8194), sizes):
+        rows += [full ^ (((1 << size) - 1) << first)] * size
+    g = Graph(len(rows), tuple(rows))
+    expected = sum(comb(x, 2) * comb(y, 2) for x, y in combinations(sizes, 2))
+    assert count_induced_c4_diagonal(g).value == expected == 211278077366272
+    monkeypatch.setattr(counting, "_FLOAT32_SUM_ORDER", g.n)
+    assert count_induced_c4_diagonal(g).value != expected
 
 
 def test_float32_exactness_guard_refuses_before_allocating():

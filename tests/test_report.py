@@ -136,10 +136,13 @@ def test_work_counters_round_trip_outside_the_substance():
     # c4 L1: 8 classes of 2 false twins; each class is multiplied against its
     # own row and, in copies 0 and 1, against the two classes of the copy
     # opposite; all 16 rows fit one pass on the union of the neighbourhoods,
-    # all 8 classes
+    # all 8 classes; its bytes are the quotient's 3 * 9^2, the union's 9
+    # columns (the class of ones among them) of all 9 classes and their
+    # transpose, 2 * 9 * 9, the bool and float32 operands, 5 * 9 * (2 * 16
+    # + 9), and 73 * 16 of row-length arrays
     assert report.levels[1].work == {
         "enum": {"subsets": 1820, "passes": 1},
-        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1},
+        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1, "bytes": 3418},
     }
     assert VerificationReport.from_json(report.to_json()) == report
     other = build_report(_config())
