@@ -386,12 +386,8 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
     int64_dot = n <= _INT64_DOT_ORDER
     reps, size = _twin_classes(packed)
     k = len(reps)
-    need, memory = _diagonal_bytes(k), graphs._physical_memory()
-    if memory is not None and need > memory:
-        raise VertexCapExceeded(
-            f"the diagonal counter's quotient on {k} classes of equal rows would take "
-            f"{need} bytes ({need / 2**30:.1f} GiB), more than the {memory} bytes of physical memory"
-        )
+    need = _diagonal_bytes(k)
+    graphs._check_memory(f"the diagonal counter's quotient on {k} classes of equal rows", need)
     rep_rows = packed.take(reps, 0)
     # adj[i, j]: representative i sees representative j.  Row and column k,
     # a class of size 0 that sees every class, give each product a column

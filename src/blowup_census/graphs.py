@@ -168,10 +168,8 @@ def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     grouped into row stripes of at most _VALIDATE_BLOCK_BYTES cells by a
     stable sort of their stripe numbers, unless they come grouped (as
     sorted pairs do); each stripe's cells above the diagonal are set by one
-    fancy assignment and packed.  With several stripes the lower triangle
-    is the transpose of the upper one; a graph small enough for one stripe
-    sets its cells below the diagonal there too, which spares small graphs
-    the fixed cost of the transpose.
+    fancy assignment and packed.  The lower triangle is the transpose of
+    the upper one.
     """
     width = _width(n)
     packed = np.zeros((n, width), dtype=np.uint8)
@@ -192,22 +190,18 @@ def _rows_from_pairs(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         if end > start:
             block = cells[: min(step, n - r0)]
             block[lo[start:end] - r0, hi[start:end]] = True
-            if count == 1:
-                # the one stripe holds the lower triangle too
-                block[hi, lo] = True
             packed[r0 : r0 + len(block)] = np.packbits(block, axis=1, bitorder="little")
             block.fill(False)
             start = end
     del cells
-    if count > 1:
-        # Byte columns [c0, c1) hold no bit below row 8 c1; their transpose
-        # is the lower triangle of rows [8 c0, 8 c1), left of byte column
-        # c1, which no later column stripe reads.
-        columns = max(1, _VALIDATE_BLOCK_BYTES // (8 * n))
-        for c0 in range(0, width, columns):
-            c1 = min(c0 + columns, width)
-            mirror = _transposed_rows(packed[: 8 * c1, c0:c1])
-            packed[8 * c0 : 8 * c1, :c1] |= mirror[: n - 8 * c0]
+    # Byte columns [c0, c1) hold no bit below row 8 c1; their transpose is
+    # the lower triangle of rows [8 c0, 8 c1), left of byte column c1,
+    # which no later column stripe reads.
+    columns = max(1, _VALIDATE_BLOCK_BYTES // max(8 * n, 1))
+    for c0 in range(0, width, columns):
+        c1 = min(c0 + columns, width)
+        mirror = _transposed_rows(packed[: 8 * c1, c0:c1])
+        packed[8 * c0 : 8 * c1, :c1] |= mirror[: n - 8 * c0]
     return packed
 
 
@@ -393,6 +387,18 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _check_memory(subject: str, need: int) -> None:
+    """Refuse (VertexCapExceeded) ``need`` bytes, for what ``subject``
+    names in the message, when they exceed physical memory; called before
+    any of them is allocated."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise VertexCapExceeded(
+            f"{subject} would take {need} bytes ({need / 2**30:.1f} GiB), "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
 def _check_order(subject: str, n: int, vertex_cap: int) -> None:
     """Refuse (VertexCapExceeded) a graph of n vertices, named ``subject``
     in the message, above ``vertex_cap`` or whose packed rows would not fit
@@ -401,12 +407,7 @@ def _check_order(subject: str, n: int, vertex_cap: int) -> None:
         raise VertexCapExceeded(
             f"{subject} has {n} vertices, above the cap of {vertex_cap}; raise --vertex-cap to proceed"
         )
-    need, memory = n * _width(n), _physical_memory()
-    if memory is not None and need > memory:
-        raise VertexCapExceeded(
-            f"{subject} has {n} vertices, whose packed rows would take {need} bytes "
-            f"({need / 2**30:.1f} GiB), more than the {memory} bytes of physical memory"
-        )
+    _check_memory(f"{subject} has {n} vertices, whose packed rows", n * _width(n))
 
 
 def nested_blowup(base: Graph, level: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:

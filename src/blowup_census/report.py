@@ -100,12 +100,12 @@ class Finding:
 class LevelRecord:
     N: int
     vertices: int
-    edges: int | str
+    edges: int
     non_edges_graph: int | str
-    non_edges_formula: int | None
-    T_enum: int | str | None
-    T_diagonal: int | str | None
-    T_recurrence: int | None
+    non_edges_formula: int
+    T_enum: int | str
+    T_diagonal: int | str
+    T_recurrence: int
     T_closed_stated: int | Rational | None
     T_closed_derived: int | Rational | None
     breakdown: TermBreakdown | None
@@ -275,7 +275,7 @@ def _build_level(
         rules.extend(blowup_levels(base_invariants(base, base_T), config.max_level))
     rule = rules[n]
     ne_graph: int | str = SKIPPED_CAP if graph is None else graph.non_edge_count
-    edges: int | str = rule.edges if graph is None else graph.edge_count
+    edges = rule.edges if graph is None else graph.edge_count
 
     comparisons: dict[str, tuple[Any, Any, str]] = {
         "enum_vs_diagonal": (t_enum, t_diag, "internal counter disagreement"),

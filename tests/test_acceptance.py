@@ -9,8 +9,10 @@ the recurrence and by the derived closed form.
 from __future__ import annotations
 
 import random
+import re
 import time
 from functools import lru_cache
+from pathlib import Path
 
 from blowup_census import (
     FORMULAS,
@@ -365,3 +367,34 @@ def test_criterion_14_level_six_and_five_builds():
         ", ".join(f"{name} ({n} vertices) built in {t:.2f}s" for name, (n, t) in built.items())
         + "; sizes == rule, each < 60s",
     )
+
+
+def test_criterion_15_c4_level_four_both_counters():
+    # the default cap refuses C(1024, 4) ~ 4.6e10 subsets; raised explicitly,
+    # the subset scan confirms c4 L4 beside the diagonal counter
+    expected = 7740798208
+    g = _level(Family.C4, 4)
+    enum = count_induced_c4_enum(g, subset_cap=comb(1024, 4))
+    diag = count_induced_c4_diagonal(g)
+    assert enum.value == diag.value == _rule("c4", 4).T == expected
+    assert enum.elapsed < 120.0
+    _report(
+        15,
+        f"enumeration == diagonal == recurrence == {expected} on 1024 vertices; "
+        f"enum over C(1024,4)~4.6e10 took {enum.elapsed:.1f}s < 120s",
+    )
+
+
+# A row of README's ground-truth table: family, N, vertices, edges,
+# non-edges, induced 4-cycles.
+_TABLE_ROW = re.compile(r"^\| (c4|theta222) +\|" + r" *([0-9]+) *\|" * 5 + r"$", re.MULTILINE)
+
+
+def test_criterion_16_readme_ground_truth_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {(family, int(n)): tuple(map(int, rest)) for family, n, *rest in _TABLE_ROW.findall(readme)}
+    assert sorted(rows) == [(family, n) for family in ("c4", "theta222") for n in range(5)]
+    for (family, n), row in rows.items():
+        rule = _rule(family, n)
+        assert row == (rule.n, rule.edges, rule.m, rule.T), (family, n)
+    _report(16, f"README's {len(rows)} ground-truth rows == rule for c4 and theta222 N=0..4")

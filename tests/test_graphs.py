@@ -651,6 +651,41 @@ def test_read_edge_list_refuses_rows_beyond_physical_memory(monkeypatch):
     assert read_edge_list("91\n0 1\n").n == 91
 
 
+def _fail_allocations(monkeypatch) -> None:
+    """Make numpy's allocators and the reader's parse unusable, so that a
+    refusal which allocates first shows as a TypeError."""
+    for name in ("zeros", "empty", "unpackbits", "fromstring"):
+        monkeypatch.setattr(np, name, None)
+
+
+def test_build_refusals_allocate_nothing(monkeypatch):
+    # c4 level 2 has 64 rows of 8 bytes
+    base = base_graph(Family.C4)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 511)
+    with monkeypatch.context() as m:
+        _fail_allocations(m)
+        with pytest.raises(VertexCapExceeded, match=r"^level 2 has 64 vertices, whose packed rows would take 512"):
+            nested_blowup(base, 2)
+        with pytest.raises(VertexCapExceeded, match=r"^level 2 has 64 vertices, above the cap of 63"):
+            nested_blowup(base, 2, vertex_cap=63)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 512)
+    assert nested_blowup(base, 2).n == 64
+
+
+def test_read_refusals_allocate_nothing(monkeypatch):
+    # 91 rows of 12 bytes; the text after the vertex count is never parsed
+    text = write_edge_list(cycle_graph(91))
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 1091)
+    with monkeypatch.context() as m:
+        _fail_allocations(m)
+        with pytest.raises(VertexCapExceeded, match=r"^line 1: the edge list has 91 vertices, whose packed rows"):
+            read_edge_list(text)
+        with pytest.raises(VertexCapExceeded, match=r"^line 1: the edge list has 91 vertices, above the cap of 90"):
+            read_edge_list(text, vertex_cap=90)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 1092)
+    assert read_edge_list(text) == cycle_graph(91)
+
+
 def test_physical_memory_is_a_byte_count():
     memory = graphs_module._physical_memory()
     assert memory is None or memory > 1 << 20
@@ -791,7 +826,13 @@ def _first_repeat_outcome(n: int, pairs: list[tuple[int, int]]) -> str | None:
     "n, p, stripe_rows, stripes",
     [
         (3000, 0.004, None, 3),  # the default block size
-        (1500, 0.01, None, 1),  # one stripe sets both triangles
+        (1500, 0.01, None, 1),  # one stripe, mirrored like several
+        (2047, 0.004, None, 1),  # one stripe, 7 bits in the last byte column
+        (65, 0.3, None, 1),  # one bit in the last byte column
+        (63, 0.3, None, 1),
+        (5, 0.5, None, 1),  # less than one byte column
+        (1, 0.5, None, 1),
+        (0, 0.5, None, 0),
         (1001, 0.02, 64, 16),
         (200, 0.2, 8, 25),
         (61, 0.5, 1, 61),
@@ -799,22 +840,24 @@ def _first_repeat_outcome(n: int, pairs: list[tuple[int, int]]) -> str | None:
 )
 def test_rows_from_pairs_sorted_and_shuffled(monkeypatch, n, p, stripe_rows, stripes):
     # the pairs are grouped into row stripes: sorted pairs come grouped,
-    # shuffled ones are sorted by stripe; the first or the last pair in row
-    # order, from the first or the last stripe that holds any, repeated
+    # shuffled ones are sorted by stripe; the lower triangle is the upper
+    # one transposed, however many stripes; the first or the last pair in
+    # row order, from the first or the last stripe that holds any, repeated
     # anywhere, is named at its second occurrence
     if stripe_rows is not None:
         monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", stripe_rows * n)
-    step = max(1, graphs_module._VALIDATE_BLOCK_BYTES // n)
+    step = max(1, graphs_module._VALIDATE_BLOCK_BYTES // max(n, 1))
     assert -(-n // step) == stripes
     g = _numpy_random_graph(n, p, n)
     pairs = edges(g)
+    assert bool(pairs) == (n >= 2)
     rng = random.Random(n)
     shuffled = rng.sample(pairs, len(pairs))
     for order in (pairs, shuffled):
         assert Graph.from_edges(n, order) == g
         text = "\n".join([str(n)] + [f"{u} {v}" for u, v in order]) + "\n"
         assert read_edge_list(text) == g
-        for repeated in (pairs[0], pairs[-1]):
+        for repeated in pairs[:1] + pairs[-1:]:
             at = rng.randrange(len(order) + 1)
             twice = order[:at] + [repeated] + order[at:]
             with pytest.raises(ValueError) as caught:
