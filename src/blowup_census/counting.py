@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from operator import mul
@@ -88,7 +88,7 @@ class CountResult:
     value: int
     method: Method
     elapsed: float
-    work: dict[str, int] = field(default_factory=dict)
+    work: dict[str, int]
 
 
 # ---------------------------------------------------------------------------

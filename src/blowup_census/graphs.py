@@ -72,6 +72,26 @@ def _width(n: int) -> int:
     return (n + 7) >> 3
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(subject: str, need: int) -> None:
+    """Refuse (VertexCapExceeded) ``need`` bytes, for what ``subject``
+    names in the message, when they exceed physical memory; called before
+    any of them is allocated."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise VertexCapExceeded(
+            f"{subject} would take {need} bytes ({need / 2**30:.1f} GiB), "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Graph:
     """Immutable simple graph on vertex ids 0..n-1.
@@ -109,6 +129,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        _check_memory(f"a graph of {n} vertices, whose packed rows", n * _width(n))
         lo, hi = [], []
         for u, v in edges:
             u, v = operator.index(u), operator.index(v)
@@ -377,26 +400,6 @@ def base_graph(family: Family | str, custom: Graph | None = None) -> Graph:
     if custom.n == 0:
         raise GraphFormatError("the base graph must have at least one vertex")
     return custom
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_memory(subject: str, need: int) -> None:
-    """Refuse (VertexCapExceeded) ``need`` bytes, for what ``subject``
-    names in the message, when they exceed physical memory; called before
-    any of them is allocated."""
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise VertexCapExceeded(
-            f"{subject} would take {need} bytes ({need / 2**30:.1f} GiB), "
-            f"more than the {memory} bytes of physical memory"
-        )
 
 
 def _check_order(subject: str, n: int, vertex_cap: int) -> None:

@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import os
 import platform
-import re
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Any
@@ -59,8 +58,6 @@ __all__ = [
 
 SKIPPED_CAP = "skipped: cap"
 SKIPPED_NOT_REQUESTED = "skipped: not requested"
-
-_RATIONAL_RE = re.compile(r"-?\d+/\d+")
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,10 @@ class LevelRecord:
     T_recurrence: int
     T_closed_stated: int | Rational | None
     T_closed_derived: int | Rational | None
-    breakdown: TermBreakdown | None
-    match_flags: dict[str, bool | str] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
-    # reports written before work counters existed have none
-    work: dict[str, dict[str, int]] = field(default_factory=dict)
+    breakdown: TermBreakdown
+    match_flags: dict[str, bool | str]
+    timings: dict[str, float]
+    work: dict[str, dict[str, int]]
 
 
 @dataclass
@@ -144,22 +140,8 @@ class VerificationReport:
     def to_json_dict(self) -> dict[str, Any]:
         return _plain(self)
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
-    @classmethod
-    def from_json_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        return cls(
-            family=d["family"],
-            config=RunConfig(**d["config"]),
-            levels=[_decode_level(rec) for rec in d["levels"]],
-            findings=[Finding(**f) for f in d["findings"]],
-            meta=dict(d["meta"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_json_dict(json.loads(text))
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def comparable_dict(self) -> dict[str, Any]:
         """The deterministic substance: everything except timings, work
@@ -186,25 +168,6 @@ def _plain(v: Any) -> Any:
     if isinstance(v, dict):
         return {k: _plain(x) for k, x in v.items()}
     return v
-
-
-def _decode_rational(v: Any) -> Any:
-    if isinstance(v, str) and _RATIONAL_RE.fullmatch(v):
-        num, den = v.split("/")
-        return Rational(int(num), int(den))
-    return v
-
-
-def _decode_level(d: dict[str, Any]) -> LevelRecord:
-    breakdown = d["breakdown"]
-    return LevelRecord(
-        **{
-            **d,
-            "T_closed_stated": _decode_rational(d["T_closed_stated"]),
-            "T_closed_derived": _decode_rational(d["T_closed_derived"]),
-            "breakdown": None if breakdown is None else TermBreakdown(**breakdown),
-        }
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,26 @@ edge-list parser, both sharing no code with the package beyond the Graph
 type, the per-vertex diagonal sum the package's quotient one must equal,
 substitution of unequal blobs, small adjacency queries on a Graph's rows,
 and the oracles for the packed layers: validation on unpacked row stripes,
-composition on Python-int rows, and blow-up edge lists by the digit rule."""
+composition on Python-int rows, and blow-up edge lists by the digit rule;
+and the environment of a child interpreter that imports the package."""
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from blowup_census import Graph, GraphFormatError
+
+
+def child_env() -> dict[str, str]:
+    """os.environ with PYTHONPATH set to this checkout's src/, so a child
+    interpreter imports the package under test without it installed."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

@@ -8,6 +8,7 @@ the recurrence and by the derived closed form.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import time
@@ -19,7 +20,6 @@ from blowup_census import (
     Family,
     Rational,
     Variant,
-    VerificationReport,
     base_graph,
     blowup_levels,
     c4_closed_T,
@@ -209,13 +209,14 @@ def test_criterion_7_discrepancy_findings(tmp_path):
             ["verify", "--family", family, "--max-level", "0", "--out", str(out)]
         )
         assert code == 0
-        report = VerificationReport.from_json(out.read_text())
-        assert report.passed
-        assert report.levels[0].match_flags["closed_stated_vs_recurrence"] is False
+        report = json.loads(out.read_text())
+        flags = report["levels"][0]["match_flags"]
+        assert flags.pop("closed_stated_vs_recurrence") is False
+        assert all(flag is True for flag in flags.values())
         assert any(
-            f.comparison == "closed_stated_vs_recurrence" for f in report.findings
+            f["comparison"] == "closed_stated_vs_recurrence" for f in report["findings"]
         )
-        flagged[family] = str(report.levels[0].T_closed_stated)
+        flagged[family] = report["levels"][0]["T_closed_stated"]
     _report(
         7,
         f"stated variants {flagged['c4']} and {flagged['theta222']} flagged as "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from blowup_census import (
 )
 from blowup_census import cli, graphs
 from blowup_census.cli import main
-from helpers import complete_graph
+from helpers import child_env, complete_graph
 
 
 def test_main_builds_its_parser_once(capsys):
@@ -220,9 +221,12 @@ def test_verify_exit_zero_with_findings(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "result: PASS" in stdout
-    report = VerificationReport.from_json(out.read_text())
-    assert report.passed
-    assert len(report.findings) == 2
+    report = json.loads(out.read_text())
+    # the two findings are level 0's and level 1's stated-variant mismatches
+    assert [(f["level"], f["comparison"]) for f in report["findings"]] == [
+        (0, "closed_stated_vs_recurrence"),
+        (1, "closed_stated_vs_recurrence"),
+    ]
 
 
 def test_verify_json_stdout(tmp_path, capsys, monkeypatch):
@@ -309,12 +313,65 @@ def test_empty_custom_base_exit_code(tmp_path, capsys, argv):
 def test_count_disagreement_exits_one(monkeypatch, capsys):
     from blowup_census import counting
 
-    wrong = counting.CountResult(0, counting.Method.DIAGONAL, 0.0)
+    wrong = counting.CountResult(0, counting.Method.DIAGONAL, 0.0, {})
     monkeypatch.setattr(counting, "count_induced_c4_diagonal", lambda g: wrong)
     assert main(["count", "--family", "c4", "--level", "1"]) == 1
     out, err = capsys.readouterr()
     assert "enum: 404" in out and "methods agree: false" in out
     assert "internal counter disagreement" in err
+
+
+def test_verify_counter_disagreement_exits_one(monkeypatch, capsys):
+    from blowup_census import counting
+
+    diagonal = counting.count_induced_c4_diagonal
+
+    def one_too_many_at_16(g):
+        result = diagonal(g)
+        return dataclasses.replace(result, value=result.value + 1) if g.n == 16 else result
+
+    monkeypatch.setattr(counting, "count_induced_c4_diagonal", one_too_many_at_16)
+    assert main(["verify", "--family", "c4", "--max-level", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "result: FAIL [(1, 'enum_vs_diagonal'), (1, 'diagonal_vs_recurrence')]"
+    assert err == "error: verification failed (see findings)\n"
+
+
+def test_verify_derived_mismatch_fails_and_stated_stays_a_finding(monkeypatch, capsys):
+    from blowup_census import Variant, formulas
+
+    c4 = formulas.FORMULAS["c4"]
+
+    def derived_off_at_level_1(n, variant):
+        value = c4.closed_T(n, variant)
+        return value + 1 if (n, variant) == (1, Variant.DERIVED) else value
+
+    monkeypatch.setitem(formulas.FORMULAS, "c4", c4._replace(closed_T=derived_off_at_level_1))
+    assert main(["verify", "--family", "c4", "--max-level", "1"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    # columns: N vertices edges nonedges T_enum T_diag T_rec derived stated
+    assert lines[2].split() == ["0", "4", "4", "2", "1", "1", "1", "ok", "differs"]
+    assert lines[3].split() == ["1", "16", "80", "40", "404", "404", "404", "FAIL", "differs"]
+    assert "level 1: closed_derived_vs_recurrence: 405 != 404" in out
+    assert lines[-1] == "result: FAIL [(1, 'closed_derived_vs_recurrence')]"
+    assert err == "error: verification failed (see findings)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "c4", "--level", "1", "--method", "diagonal"],
+        ["verify", "--family", "c4", "--max-level", "0", "--method", "diagonal"],
+    ],
+)
+def test_odd_diagonal_raw_sum_exits_one(monkeypatch, capsys, argv):
+    from blowup_census import counting
+
+    monkeypatch.setattr(counting, "_diagonal_raw", lambda packed, work=None: 3)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: diagonal raw sum 3 is odd: counting bug\n")
 
 
 def test_malformed_edge_list_exit_code(tmp_path, capsys):
@@ -477,6 +534,7 @@ def test_module_entry_point(tmp_path):
          "--max-level", "1"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "1,16,80,40,404"
@@ -485,6 +543,7 @@ def test_module_entry_point(tmp_path):
          "--max-level", "31", "--format", "json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     # under -O the checks still run: they are comparisons, not asserts
@@ -495,6 +554,7 @@ def test_module_entry_point(tmp_path):
          "--input", str(base), "--max-level", "1", "--format", "json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     levels = json.loads(proc.stdout)["levels"]
@@ -508,6 +568,7 @@ def test_import_leaves_multiprocessing_unloaded():
          "import sys, blowup_census.cli; print('multiprocessing' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

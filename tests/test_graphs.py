@@ -32,6 +32,7 @@ from blowup_census import (
 )
 from helpers import (
     blob_of,
+    child_env,
     complete_graph,
     degree_sequence,
     digit_rule_edge_list,
@@ -152,14 +153,19 @@ STRIPE_N = 40  # with 8-row stripes: five stripes, boundaries at 8, 16, 24, 32
         ({"add": [(STRIPE_N - 1, STRIPE_N - 1)]}, r"^self-loop at vertex 39$"),
         ({"add": [(12, STRIPE_N)]}, r"^row 12 has bits outside the vertex range$"),
         ({"set_rows": [(17, -1)]}, r"^row 17 has bits outside the vertex range$"),
+        # the rows of a graph of STRIPE_N vertices, with another vertex count
+        ({"n": -1}, r"^vertex count must be nonnegative$"),
+        ({"n": STRIPE_N + 1}, r"^expected 41 adjacency rows, got 40$"),
     ],
 )
 def test_validation_across_stripes(monkeypatch, corruption, message):
     g = random_graph(STRIPE_N, 0.5, 11)
     monkeypatch.setattr(graphs_module, "_VALIDATE_BLOCK_BYTES", 8 * STRIPE_N)
+    corruption = dict(corruption)
+    n = corruption.pop("n", STRIPE_N)
     rows = _corrupt(g, **corruption)
     with pytest.raises(ValueError, match=message):
-        Graph(STRIPE_N, rows)
+        Graph(n, rows)
 
 
 def test_narrow_stripes_accept_valid_graphs(monkeypatch):
@@ -291,7 +297,7 @@ def test_validation_survives_python_optimize():
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "asymmetric adjacency at (0, 1)",
@@ -686,6 +692,21 @@ def test_read_refusals_allocate_nothing(monkeypatch):
     assert read_edge_list(text) == cycle_graph(91)
 
 
+def test_from_edges_refusals_allocate_nothing(monkeypatch):
+    # 91 rows of 12 bytes, as in the read refusal above; the edges are
+    # never looked at
+    cycle = [(v, (v + 1) % 91) for v in range(91)]
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 1091)
+    with monkeypatch.context() as m:
+        _fail_allocations(m)
+        with pytest.raises(ValueError, match=r"^vertex count must be nonnegative$"):
+            Graph.from_edges(-1, [])
+        with pytest.raises(VertexCapExceeded, match=r"^a graph of 91 vertices, whose packed rows would take 1092"):
+            Graph.from_edges(91, cycle)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 1092)
+    assert Graph.from_edges(91, cycle) == cycle_graph(91)
+
+
 def test_physical_memory_is_a_byte_count():
     memory = graphs_module._physical_memory()
     assert memory is None or memory > 1 << 20
@@ -923,7 +944,11 @@ def test_write_edge_list_matches_digit_rule(family):
 def test_edge_list_roundtrip(seed):
     rng = random.Random(seed)
     g = random_graph(rng.randint(1, 20), rng.random(), seed)
-    assert read_edge_list(write_edge_list(g)) == g
+    back = read_edge_list(write_edge_list(g))
+    assert back == g
+    # equal graphs hash alike and are one element of a set
+    assert hash(back) == hash(g)
+    assert len({back, g}) == 1
 
 
 def test_write_edge_list_sorted_pairs():
