@@ -19,12 +19,16 @@ Two deliberately independent algorithms, each exact:
   stack, a run of consecutive classes sized to a memory budget, on the
   union of their neighbourhoods, covers the non-edges of each class with
   the later classes and within itself, each product row weighted by the
-  number of non-edges it stands for.  The products are exact below 2**24
+  number of non-edges it stands for.  Consecutive product rows that name
+  the same common neighbourhood are merged first, one row per run weighted
+  by the run's non-edges: in a blow-up the non-edges from one class to the
+  members of one far blob share one.  The products are exact below 2**24
   vertices; the weighted sums after them run in float32 up to 4096
   vertices and in float64 beyond, and the rows are weighted in int64 up to
   2**15 vertices and in Python ints beyond, each where a written bound
   keeps it exact (see ``count_induced_c4_diagonal``).  The method reads
-  only the built graph and uses no blow-up identity.
+  only the built graph and uses no blow-up identity: the merge compares
+  sets the method has already computed, and nothing else.
 
 The two share nothing but the graph's packed rows, ``Graph.packed``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
@@ -80,8 +84,10 @@ class Method(str, Enum):
 class CountResult:
     """A count with its wall time and work counters: ``subsets`` scanned and
     chunk ``passes`` made for enumeration; distinct ``neighbourhoods``,
-    product ``rows``, the union ``columns`` of each stack's classes (summed
-    over products), the products (``passes``) and a bound on the peak
+    product ``rows``, the rows left after merging runs of equal
+    consecutive rows (``distinct``, summed over products), the union
+    ``columns`` of each stack's classes (summed over products), the
+    products (``passes``) and a bound on the peak
     ``bytes`` of the large arrays (the quotient's and the largest pass's,
     see ``_diagonal_bytes``) for the diagonal method."""
 
@@ -323,6 +329,20 @@ def count_induced_c4_enum(
 # every class, once, as the transpose of the rows Q[C, :]: Q is symmetric,
 # so Y's rows, the mask rows and Q's block are then row gathers from it,
 # never column gathers.
+#
+# Product rows are ordered by u, then v.  Once a pass has Y's bool rows, it
+# compares each with the row before it and keeps the first of every run of
+# equal rows, weighted by the sum of the run's weights (np.add.reduceat);
+# the float32 copy, the product, the row sums and the parity check then run
+# on those rows alone.  This is exact: equal rows of Y over C name the same
+# class set S, hence the same |S| and e(S), so every row of a run stands
+# for the same summand, and the run's summed weight times it adds up the
+# same terms as the run's rows one by one.
+# Runs may span two members of a stack.  Only consecutive rows are merged:
+# grouping every equal row of a pass by sorting or hashing finds more, but
+# costs more than it saves on twin-free graphs, where equal rows are rare.
+# The merge needs no blow-up identity, only equality of sets the pass has
+# built, so the two counters stay independent.
 
 # float32 represents every integer below 2**24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
@@ -360,11 +380,14 @@ def _diagonal_bytes(k: int, width: int = 0, rows: int = 0) -> int:
     product rows, every array the pass makes as if all were live at once:
     the rows Q[C, :] and their transposed copy, (k + 1) x width bool each;
     Y's two row gathers (rows x width) and Q's block (width^2) in bool and
-    again in float32; the product in float32; and the row-length arrays,
-    at most nine of 8 bytes and one of 1 at a time.  The representatives'
-    packed rows, the stack bookkeeping and buffers inside numpy and BLAS
-    are not counted."""
-    return 3 * (k + 1) ** 2 + 2 * (k + 1) * width + 5 * width * (2 * rows + width) + 73 * rows
+    again in float32; the gather of Y's first row of each run, in bool;
+    the product in float32; and the row-length arrays: at most nine of 8
+    bytes and one of 1 at a time, plus the row comparison's flags and
+    their copy with the first row, of 1 byte, and the run starts and run
+    weights, of 8 bytes.  Arrays of merged rows are counted at the full
+    row count.  The representatives' packed rows, the stack bookkeeping
+    and buffers inside numpy and BLAS are not counted."""
+    return 3 * (k + 1) ** 2 + 2 * (k + 1) * width + 5 * width * (2 * rows + width) + (width + 91) * rows
 
 
 def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int:
@@ -376,7 +399,9 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
     Refuses (VertexCapExceeded) a quotient whose matrices would exceed
     physical memory, before they are allocated.  ``work``, when given,
     receives the number of distinct neighbourhoods, of product rows, of
-    union columns multiplied (summed over products), of products
+    product rows left after merging runs of equal rows (``distinct``,
+    summed over products), of union columns multiplied (summed over
+    products), of products
     (``passes``) and the bound ``_diagonal_bytes`` on the peak ``bytes``:
     the quotient's and the largest pass's."""
     n = len(packed)
@@ -409,7 +434,7 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
     bits = np.packbits(adj.take(members, 0), axis=1, bitorder="little")
     alone = np.bitwise_count(bits).sum(axis=1, dtype=np.int64).tolist()
     budget = _DIAGONAL_BLOCK_BYTES
-    doubled = columns = passes = start = 0
+    doubled = distinct = columns = passes = start = 0
     peak = need
     while start < len(members):
         # the union is at least the first member's columns, which bounds the window
@@ -430,7 +455,15 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
         y = g.take(v, 0)
         if stop - start > 1:
             y &= g.take(u, 0)
-        y = y.astype(np.float32)
+        # one product row per run of equal consecutive rows of Y, weighted
+        # by the run's non-edges
+        key = y.view(np.dtype((np.void, y.shape[1])))[:, 0]  # each row's bytes as one value
+        new = np.ones(len(v), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        runs = new.nonzero()[0]
+        weights = np.where(u == v, inside.take(u), size.take(u) * size.take(v))
+        weights = np.add.reduceat(weights, runs)
+        y = y.take(runs, 0).astype(np.float32)
         y *= scale.take(cols)
         paths = np.matmul(y, g.take(cols, 0).astype(np.float32))
         s = paths[:, -1].astype(sums)  # |S_v|
@@ -439,14 +472,16 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
         pairs = (s * (s - 1) - twice_edges).astype(np.int64)
         if (pairs & 1).any():
             raise CountParityError("handshake parity violated: adjacency is not symmetric")
-        weights = np.where(u == v, inside.take(u), size.take(u) * size.take(v))
         doubled += int(weights @ pairs) if int64_dot else sum(map(mul, weights.tolist(), pairs.tolist()))
         columns += len(cols) - 1
+        distinct += len(runs)
         peak = max(peak, _diagonal_bytes(k, len(cols), len(v)))
         passes += 1
         start = stop
     if work is not None:
-        work.update(neighbourhoods=k, rows=int(ends[-1]), columns=columns, passes=passes, bytes=peak)
+        work.update(
+            neighbourhoods=k, rows=int(ends[-1]), distinct=distinct, columns=columns, passes=passes, bytes=peak
+        )
     return doubled // 2
 
 
@@ -477,10 +512,13 @@ def count_induced_c4_diagonal(g: Graph) -> CountResult:
       2**53 beyond, so the sums, |S_v| (|S_v| - 1) and their difference
       are exact integers before they are converted to int64.
     * The row weighting, one int64 dot up to n = 2**15
-      (``_INT64_DOT_ORDER``), else Python ints.  Each term, a row's weight
-      m_u * m_v or C(m_u, 2) times its even pair count, is non-negative,
-      and they add up to twice the raw sum, 4 T <= 4 C(n, 4) < n**4 / 6,
-      which is below 2**63 while n <= 2**15.
+      (``_INT64_DOT_ORDER``), else Python ints.  A merged row's weight is
+      the sum of its run's weights m_u * m_v or C(m_u, 2), each run's rows
+      having one pair count; it is at most the number of non-edges, below
+      n**2 / 2.  Each term, a merged row's weight times its even pair
+      count, is non-negative, and the terms are those of the unmerged rows
+      regrouped, so they add up to twice the raw sum, 4 T <= 4 C(n, 4) <
+      n**4 / 6, which is below 2**63 while n <= 2**15.
     """
     start = time.perf_counter()
     if g.n >= FLOAT32_EXACT_LIMIT:

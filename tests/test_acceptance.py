@@ -332,8 +332,9 @@ def test_criterion_12_theta_level_three_both_counters():
 
 def test_criterion_13_theta_level_four_diagonal():
     # theta L4 has 3125 vertices in 1250 classes of equal rows; the diagonal
-    # counter multiplies once per class, on the class columns of the quotient,
-    # which brings it inside the budget
+    # counter multiplies once per class, on the class columns of the
+    # quotient, with one product row per run of non-edges that share a
+    # common neighbourhood (313250 rows, 4250 after merging)
     expected = 774665211375
     assert _rule("theta222", 4).T == theta_closed_T(4, Variant.DERIVED) == expected
 
@@ -345,7 +346,8 @@ def test_criterion_13_theta_level_four_diagonal():
     _report(
         13,
         f"diagonal on 3125 vertices ({diag.work['neighbourhoods']} distinct "
-        f"neighbourhoods, {diag.work['columns']} class columns multiplied) "
+        f"neighbourhoods, {diag.work['columns']} class columns multiplied, "
+        f"{diag.work['rows']} product rows merged to {diag.work['distinct']}) "
         f"{diag.value} == recurrence == derived in {diag.elapsed:.1f}s < 60s",
     )
 
@@ -386,6 +388,29 @@ def test_criterion_15_c4_level_four_both_counters():
     )
 
 
+def test_criterion_17_c4_level_five_diagonal():
+    # c4 N=5 has 4096 vertices in 2048 classes of equal rows, one pass per
+    # class; the non-edges from a class to the members of one far blob
+    # share one common neighbourhood, so their consecutive product rows
+    # merge into one, and the count fits the budget.  C(4096, 4) ~ 1.2e13
+    # subsets are out of the scan's reach
+    expected = 1984696210432
+    assert _rule("c4", 5).T == c4_closed_T(5, Variant.DERIVED) == expected
+
+    g = nested_blowup(base_graph(Family.C4), 5)
+    assert (g.n, g.edge_count, g.non_edge_count) == (4096, 5591040, 2795520)
+    diag = count_induced_c4_diagonal(g)
+    assert diag.value == expected
+    assert diag.work["distinct"] < diag.work["rows"]
+    assert diag.elapsed < 60.0
+    _report(
+        17,
+        f"diagonal on 4096 vertices ({diag.work['rows']} product rows merged to "
+        f"{diag.work['distinct']}) {diag.value} == recurrence == derived in "
+        f"{diag.elapsed:.1f}s < 60s",
+    )
+
+
 # A row of README's ground-truth table: family, N, vertices, edges,
 # non-edges, induced 4-cycles.
 _TABLE_ROW = re.compile(r"^\| (c4|theta222) +\|" + r" *([0-9]+) *\|" * 5 + r"$", re.MULTILINE)
@@ -394,8 +419,8 @@ _TABLE_ROW = re.compile(r"^\| (c4|theta222) +\|" + r" *([0-9]+) *\|" * 5 + r"$",
 def test_criterion_16_readme_ground_truth_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = {(family, int(n)): tuple(map(int, rest)) for family, n, *rest in _TABLE_ROW.findall(readme)}
-    assert sorted(rows) == [(family, n) for family in ("c4", "theta222") for n in range(5)]
+    assert sorted(rows) == [("c4", n) for n in range(6)] + [("theta222", n) for n in range(5)]
     for (family, n), row in rows.items():
         rule = _rule(family, n)
         assert row == (rule.n, rule.edges, rule.m, rule.T), (family, n)
-    _report(16, f"README's {len(rows)} ground-truth rows == rule for c4 and theta222 N=0..4")
+    _report(16, f"README's {len(rows)} ground-truth rows == rule for c4 N=0..5 and theta222 N=0..4")

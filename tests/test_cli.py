@@ -127,7 +127,14 @@ def test_count_json_record(tmp_path, capsys):
     }
     assert {r["method"]: r["work"] for r in record["results"]} == {
         "enum": {"subsets": 1820, "passes": 1},
-        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1, "bytes": 3418},
+        "diagonal": {
+            "neighbourhoods": 8,
+            "rows": 16,
+            "distinct": 12,
+            "columns": 8,
+            "passes": 1,
+            "bytes": 3850,
+        },
     }
     assert capsys.readouterr().out == out.read_text() + "\n"
 

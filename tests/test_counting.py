@@ -408,6 +408,52 @@ def test_diagonal_stacks_across_budgets(monkeypatch):
             assert set(passes) <= {0, 1}
 
 
+def test_merged_rows_on_nested_blowups(monkeypatch):
+    # nested blow-ups of seeded random bases on 2 to 5 vertices, to the
+    # deepest level of at most 125 vertices: as built, the rows from one
+    # class to the members of one far blob are consecutive and merge; a
+    # seeded relabelling breaks most of those runs.  Both at a budget of 1
+    # byte (one representative a pass) and at the default
+    rng = random.Random("merged-rows")
+    distinct = {"built": 0, "relabelled": 0}
+    rows = 0
+    for _ in range(16):
+        base = random_graph(rng.randint(2, 5), rng.uniform(0.2, 0.8), rng.randrange(10**9))
+        level = 1
+        while base.n ** (level + 2) <= 125:
+            level += 1
+        g = nested_blowup(base, level)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for name, h in (("built", g), ("relabelled", relabel(g, perm))):
+            raw = reference_diagonal_raw(dense_adjacency(h))
+            assert raw == 2 * count_induced_c4_enum(h).value, (name, base.rows, level)
+            for budget in (1, counting._DIAGONAL_BLOCK_BYTES):
+                monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+                work: dict[str, int] = {}
+                assert _diagonal_raw(h.packed, work) == raw, (name, base.rows, level, budget)
+                distinct[name] += work["distinct"]
+                rows += work["rows"]
+            monkeypatch.undo()
+    assert distinct["built"] < distinct["relabelled"] < rows // 2
+    assert 10 * distinct["built"] < rows // 2
+
+
+def test_run_spans_two_members_of_a_stack(monkeypatch):
+    # 0 and 1 see each other and the false twins 2 and 3, which 4 sees too:
+    # the rows (0, 4) and (1, 4) are both on S = {2, 3}, the last of
+    # member 0 and the first of member 1, then 2's own row on {0, 1, 4}.
+    # One stack merges the first two; a pass per member cannot
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    raw = reference_diagonal_raw(dense_adjacency(g))
+    assert raw // 2 == brute_force_c4_count(g) == count_induced_c4_enum(g).value == 2
+    for budget, passes, distinct in ((counting._DIAGONAL_BLOCK_BYTES, 1, 2), (1, 3, 3)):
+        monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+        work: dict[str, int] = {}
+        assert _diagonal_raw(g.packed, work) == raw
+        assert (work["rows"], work["distinct"], work["passes"]) == (3, distinct, passes)
+
+
 @pytest.mark.parametrize(
     "float32_order, int64_order, sums, int64_dot",
     [
@@ -499,11 +545,15 @@ def test_neighbourhood_classes_keep_the_smallest_id():
         assert size.sum() == g.n
 
 
-def _diagonal_members(g: Graph) -> list[tuple[int, set[int]]]:
-    """The product rows and the neighbourhood by class of each
-    representative that gets a product, in order: one row per later class
-    it does not see, plus its own row when its class has two or more
-    members, for every representative with two neighbours."""
+Member = tuple[list[frozenset[int]], set[int]]
+
+
+def _diagonal_members(g: Graph) -> list[Member]:
+    """The product rows, each as its common neighbourhood by class, and the
+    neighbourhood by class of each representative that gets a product, in
+    order: its own row first when its class has two or more members, then
+    one row per later class it does not see, for every representative with
+    two neighbours."""
     classes = _row_classes(g)
     reps = [ids[0] for ids in classes]
     members = []
@@ -511,52 +561,67 @@ def _diagonal_members(g: Graph) -> list[tuple[int, set[int]]]:
         row = g.rows[ids[0]]
         if row.bit_count() < 2:
             continue
-        rows = sum(1 for v in reps[i + 1 :] if not (row >> v) & 1) + (len(ids) > 1)
-        if rows:
+        far = [ids[0]] * (len(ids) > 1) + [v for v in reps[i + 1 :] if not (row >> v) & 1]
+        if far:
+            rows = [frozenset(c for c in reps if (row & g.rows[v]) >> c & 1) for v in far]
             members.append((rows, {c for c in reps if (row >> c) & 1}))
     return members
 
 
-def _stacks(members: list[tuple[int, set[int]]], budget: int) -> list[tuple[int, set[int]]]:
+def _stacks(members: list[Member], budget: int) -> list[Member]:
     """Consecutive members taken greedily while rows x (union + 1) and
     (union + 1)^2 float32 cells fit the budget; at least one each."""
-    stacks: list[tuple[int, set[int]]] = []
+    stacks: list[Member] = []
     for rows, nbrs in members:
         if stacks:
             total, union = stacks[-1][0] + rows, stacks[-1][1] | nbrs
-            if 4 * (len(union) + 1) * max(total, len(union) + 1) <= budget:
+            if 4 * (len(union) + 1) * max(len(total), len(union) + 1) <= budget:
                 stacks[-1] = (total, union)
                 continue
         stacks.append((rows, nbrs))
     return stacks
 
 
-def _peak_bytes(k: int, stacks: list[tuple[int, set[int]]]) -> int:
+def _runs(rows: list[frozenset[int]]) -> int:
+    """Runs of equal consecutive rows."""
+    return sum(1 for i, row in enumerate(rows) if i == 0 or row != rows[i - 1])
+
+
+def _peak_bytes(k: int, stacks: list[Member]) -> int:
     """The quotient's bool matrices, 3 (k + 1)^2 bytes, plus the largest
     pass on w columns (its union and the class of ones) and r rows: the
     rows Q[C, :] and their transpose, 2 (k + 1) w bool; Y's two gathers
-    (r x w) and Q's block (w x w) in bool and in float32, and the product
-    (r x w) in float32; 73 bytes a row for the row-length arrays."""
-    widths = [(rows, len(union) + 1) for rows, union in stacks]
+    (r x w) and Q's block (w x w) in bool and in float32, the gather of
+    each run's first row (r x w) in bool and the product (r x w) in
+    float32; 91 bytes a row for the row-length arrays, the row
+    comparison's flags, the run starts and the run weights."""
+    widths = [(len(rows), len(union) + 1) for rows, union in stacks]
     return 3 * (k + 1) ** 2 + max(
-        (2 * (k + 1) * w + 10 * rows * w + 5 * w * w + 73 * rows for rows, w in widths), default=0
+        (2 * (k + 1) * w + 11 * rows * w + 5 * w * w + 91 * rows for rows, w in widths), default=0
     )
 
 
 def test_diagonal_work_counters(monkeypatch):
     # rows are the members' product rows; each stack is one pass on the
-    # union of its members' classes.  At a budget of 1 byte every stack is
-    # one representative, on the classes of its own neighbourhood.
+    # union of its members' classes, with one product row per run of equal
+    # common neighbourhoods in it.  At a budget of 1 byte every stack is
+    # one representative, on the classes of its own neighbourhood, and no
+    # run spans two members.
+    merged = spanned = 0
     for g in _planted_twin_graphs():
         classes = _row_classes(g)
         members = _diagonal_members(g)
-        rows = sum(r for r, _ in members)
+        rows = sum(len(r) for r, _ in members)
         for budget in (1, counting._DIAGONAL_BLOCK_BYTES):
             monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
             stacks = _stacks(members, budget)
+            distinct = sum(_runs(r) for r, _ in stacks)
+            merged += distinct < rows
+            spanned += distinct < sum(_runs(r) for r, _ in members)
             assert count_induced_c4_diagonal(g).work == {
                 "neighbourhoods": len(classes),
                 "rows": rows,
+                "distinct": distinct,
                 "columns": sum(len(union) for _, union in stacks),
                 "passes": len(stacks),
                 "bytes": _peak_bytes(len(classes), stacks),
@@ -579,6 +644,7 @@ def test_diagonal_work_counters(monkeypatch):
             assert sum(len(c) for _, c in lone) == sum(
                 adjacency[u].bit_count() for u in range(g.n) if far[u]
             )
+    assert merged >= 300 and spanned >= 50
     assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5, "passes": 1}
     for g in (empty_graph(0), empty_graph(1), complete_graph(2), cycle_graph(3)):
         result = count_induced_c4_enum(g)
@@ -616,6 +682,20 @@ def test_asymmetric_adjacency_breaks_handshake_parity():
     adj[9, 10] = adj[13, 14] = 1
     with pytest.raises(CountParityError, match="handshake"):
         _diagonal_raw(np.packbits(adj, axis=1, bitorder="little"))
+    # the C4s 0-1-3-2-0 and 0-1-4-2-0, with 3 and 4 adjacent and a pendant
+    # 5 on 4: the rows (0, 3) and (0, 4), both on S = {1, 2}, merge into
+    # one of weight 2, and no other row holds both 1 and 2.  A one-way
+    # entry 1 -> 2 inside S makes that merged row's pair count odd
+    adj = np.zeros((6, 6), dtype=np.uint8)
+    for a, b in [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (4, 5)]:
+        adj[a, b] = adj[b, a] = 1
+    work = {}
+    raw = _diagonal_raw(np.packbits(adj, axis=1, bitorder="little"), work)
+    assert raw == reference_diagonal_raw(adj) == 4
+    assert work["distinct"] < work["rows"]
+    adj[1, 2] = 1
+    with pytest.raises(CountParityError, match="handshake"):
+        _diagonal_raw(np.packbits(adj, axis=1, bitorder="little"))
 
 
 def test_weighted_step_is_exact_beyond_float32():
@@ -628,8 +708,16 @@ def test_weighted_step_is_exact_beyond_float32():
     rows = tuple(full ^ (((1 << part) - 1) << part * (v // part)) for v in range(3 * part))
     result = count_induced_c4_diagonal(Graph(3 * part, rows))
     assert result.value == 3 * comb(part, 2) ** 2 == 211209324331008
-    # one stack: each class's own row, on the union of the three classes
-    assert result.work == {"neighbourhoods": 3, "rows": 3, "columns": 3, "passes": 1, "bytes": 499}
+    # one stack: each class's own row, on the union of the three classes;
+    # the three rows name three different neighbourhoods, so none merge
+    assert result.work == {
+        "neighbourhoods": 3,
+        "rows": 3,
+        "distinct": 3,
+        "columns": 3,
+        "passes": 1,
+        "bytes": 565,
+    }
 
 
 def test_float32_sums_would_be_inexact_beyond_their_order(monkeypatch):

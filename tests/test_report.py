@@ -131,14 +131,23 @@ def test_work_counters_outside_the_substance():
     report = build_report(_config())
     # c4 L1: 8 classes of 2 false twins; each class is multiplied against its
     # own row and, in copies 0 and 1, against the two classes of the copy
-    # opposite; all 16 rows fit one pass on the union of the neighbourhoods,
-    # all 8 classes; its bytes are the quotient's 3 * 9^2, the union's 9
-    # columns (the class of ones among them) of all 9 classes and their
-    # transpose, 2 * 9 * 9, the bool and float32 operands, 5 * 9 * (2 * 16
-    # + 9), and 73 * 16 of row-length arrays
+    # opposite, which share one common neighbourhood (copies 1 and 3 or 0
+    # and 2), so those 8 rows merge into 4; all 16 rows fit one pass on the
+    # union of the neighbourhoods, all 8 classes; its bytes are the
+    # quotient's 3 * 9^2, the union's 9 columns (the class of ones among
+    # them) of all 9 classes and their transpose, 2 * 9 * 9, the bool and
+    # float32 operands, 5 * 9 * (2 * 16 + 9), the gather of the merged rows
+    # and the row-length arrays, (9 + 91) * 16
     assert report.levels[1].work == {
         "enum": {"subsets": 1820, "passes": 1},
-        "diagonal": {"neighbourhoods": 8, "rows": 16, "columns": 8, "passes": 1, "bytes": 3418},
+        "diagonal": {
+            "neighbourhoods": 8,
+            "rows": 16,
+            "distinct": 12,
+            "columns": 8,
+            "passes": 1,
+            "bytes": 3850,
+        },
     }
     assert [rec["work"] for rec in json.loads(report.to_json())["levels"]] == [rec.work for rec in report.levels]
     other = build_report(_config())
