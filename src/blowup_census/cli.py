@@ -43,20 +43,12 @@ def _add_vertex_cap_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_enum_flags(p: argparse.ArgumentParser) -> None:
-    """--subset-cap and --workers, the flags of the enumeration counter."""
+def _add_subset_cap_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--subset-cap",
         type=_int_at_least(1),
         default=DEFAULT_SUBSET_CAP,
         help="refuse enumeration over more 4-subsets than this (default %(default)s)",
-    )
-    p.add_argument(
-        "--workers",
-        type=_int_at_least(1),
-        default=1,
-        help="worker processes for the enumeration counter, capped at the usable core "
-        "count; results are identical for any count",
     )
 
 
@@ -104,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="also write the JSON record here")
     _add_vertex_cap_flag(p)
-    _add_enum_flags(p)
+    _add_subset_cap_flag(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("formula", help="tabulate the exact formulas per level")
@@ -123,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write the JSON report here")
     _add_vertex_cap_flag(p)
-    _add_enum_flags(p)
+    _add_subset_cap_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sequence", help="CSV of per-level counts from the formulas")
@@ -166,8 +158,6 @@ def _methods(choice: str) -> tuple[Method, ...]:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -189,7 +179,7 @@ def _cmd_generate(args) -> int:
 def _cmd_count(args) -> int:
     graph = _level_graph(args)
     results = [
-        count_induced_c4(graph, method, subset_cap=args.subset_cap, workers=args.workers)
+        count_induced_c4(graph, method, subset_cap=args.subset_cap)
         for method in _methods(args.method)
     ]
 
@@ -272,7 +262,6 @@ def _cmd_verify(args) -> int:
         methods=_methods(args.method),
         vertex_cap=args.vertex_cap,
         subset_cap=args.subset_cap,
-        workers=args.workers,
         input_path=args.input,
     )
     report = build_report(config, custom_base=_custom_base(args))

@@ -32,15 +32,12 @@ Two deliberately independent algorithms, each exact:
 
 The two share nothing but the graph's packed rows, ``Graph.packed``.
 Blow-up graphs are dense with comparatively few non-edges, which is what
-makes the diagonal method the scalable one here.  Enumeration may deal its
-runs of c round-robin to worker processes; partial counts combine by integer
-addition, so results are bit-identical for any worker count.  The diagonal
-method runs in one process and gets its parallelism from BLAS threads.
+makes the diagonal method the scalable one here.  Both counters run in the
+calling process; the diagonal method gets its parallelism from BLAS threads.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -226,40 +223,26 @@ def _enum_count_run(
     return total, passes
 
 
-def _enum_count(packed: np.ndarray, runs: list[tuple[int, int]]) -> tuple[int, int]:
-    """Induced 4-cycles whose third vertex lies in one of the runs, and the
-    chunk passes that took."""
+def _enum_count(packed: np.ndarray) -> tuple[int, int]:
+    """Induced 4-cycles of the graph with these packed rows, and the chunk
+    passes that took."""
     n, width = packed.shape
     padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     padded[:, :width] = packed
     words = padded.view("<u8")  # row v holds bits 64w .. 64w + 63 of v in word w
     far = ~words
     total = passes = 0
-    for c0, c1 in runs:
+    for c0, c1 in _enum_runs(n):
         found, took = _enum_count_run(packed, words, far, c0, c1)
         total += found
         passes += took
     return total, passes
 
 
-def usable_cores() -> int:
-    """The cores this process may run on: its affinity mask where the
-    platform has one, else the machine's core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pool_size(workers: int, tasks: int) -> int:
-    """Processes worth starting: at most one per usable core and per task."""
-    return max(1, min(workers, usable_cores(), tasks))
-
-
 def count_induced_c4_enum(
     g: Graph,
     *,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    workers: int = 1,
 ) -> CountResult:
     """Count induced 4-cycles by scanning all C(n, 4) vertex subsets.
 
@@ -273,18 +256,7 @@ def count_induced_c4_enum(
             f"enumeration over {subsets} subsets exceeds the cap of {subset_cap}; "
             "raise --subset-cap or use the diagonal method"
         )
-    packed = g.packed
-    runs = _enum_runs(g.n)
-    size = _pool_size(workers, len(runs))
-    if size == 1:
-        value, passes = _enum_count(packed, runs)
-    else:
-        # imported here: it pulls in multiprocessing, which a one-process run never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        dealt = [runs[w::size] for w in range(size)]
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            value, passes = map(sum, zip(*pool.map(_enum_count, [packed] * size, dealt)))
+    value, passes = _enum_count(g.packed)
     work = {"subsets": subsets, "passes": passes}
     return CountResult(value, Method.ENUMERATION, time.perf_counter() - start, work)
 
@@ -538,7 +510,6 @@ def count_induced_c4(
     method: Method | str,
     *,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-    workers: int = 1,
 ) -> CountResult:
     """Count induced 4-cycles by ``method``, with that counter's refusals.
 
@@ -547,5 +518,5 @@ def count_induced_c4(
     on this module (as the benchmark's spans do) is seen here.
     """
     if Method(method) is Method.ENUMERATION:
-        return count_induced_c4_enum(g, subset_cap=subset_cap, workers=workers)
+        return count_induced_c4_enum(g, subset_cap=subset_cap)
     return count_induced_c4_diagonal(g)

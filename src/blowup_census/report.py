@@ -31,7 +31,6 @@ from .counting import (
     Method,
     SubsetCapExceeded,
     count_induced_c4,
-    usable_cores,
 )
 from .formulas import (
     FORMULA_LEVEL_CAP,
@@ -67,7 +66,6 @@ class RunConfig:
     methods: tuple[Method, ...] = (Method.ENUMERATION, Method.DIAGONAL)
     vertex_cap: int = DEFAULT_VERTEX_CAP
     subset_cap: int = DEFAULT_SUBSET_CAP
-    workers: int = 1
     input_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -80,8 +78,6 @@ class RunConfig:
             raise ValueError(f"max_level must be in 0..{FORMULA_LEVEL_CAP}, got {self.max_level}")
         if self.vertex_cap <= 0 or self.subset_cap <= 0:
             raise ValueError("caps must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -224,7 +220,7 @@ def _build_level(
             counts.append(SKIPPED_CAP)
         else:
             try:
-                result = count_induced_c4(graph, method, subset_cap=config.subset_cap, workers=config.workers)
+                result = count_induced_c4(graph, method, subset_cap=config.subset_cap)
             except (SubsetCapExceeded, VertexCapExceeded):
                 counts.append(SKIPPED_CAP)
                 continue
@@ -323,6 +319,14 @@ def _blas_meta() -> dict[str, Any]:
     }
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_report(config: RunConfig, custom_base: Graph | None = None) -> VerificationReport:
     """Run the full verification pipeline described by ``config``."""
     base = base_graph(config.family, custom_base)
@@ -357,12 +361,13 @@ def build_report(config: RunConfig, custom_base: Graph | None = None) -> Verific
 # ---------------------------------------------------------------------------
 
 
-def _flag_cell(flag: bool | str, *, finding_only: bool = False) -> str:
-    if flag is True:
+def _flag_cell(flag: bool | None, *, finding_only: bool = False) -> str:
+    """A closed form's match flag as a cell; "-" for a base without one."""
+    if flag is None:
+        return "-"
+    if flag:
         return "ok"
-    if flag is False:
-        return "differs" if finding_only else "FAIL"
-    return "skip"
+    return "differs" if finding_only else "FAIL"
 
 
 def render_summary(report: VerificationReport) -> str:
@@ -388,9 +393,9 @@ def render_summary(report: VerificationReport) -> str:
                 str(rec.T_enum),
                 str(rec.T_diagonal),
                 str(rec.T_recurrence),
-                _flag_cell(rec.match_flags.get("closed_derived_vs_recurrence", "-")),
+                _flag_cell(rec.match_flags.get("closed_derived_vs_recurrence")),
                 _flag_cell(
-                    rec.match_flags.get("closed_stated_vs_recurrence", "-"),
+                    rec.match_flags.get("closed_stated_vs_recurrence"),
                     finding_only=True,
                 ),
             ]

@@ -473,18 +473,13 @@ _LEVEL_ARGS = {
 @pytest.mark.parametrize(
     "command, flag, value",
     [
-        pytest.param(command, "--workers", workers, id=f"{workers}-{command}")
-        for workers in ["0", "-3", "two"]
-        for command in ["count", "verify"]
-    ]
-    + [
         ("generate", "--level", "-1"),
         ("count", "--level", "-2"),
         ("verify", "--vertex-cap", "0"),
         ("verify", "--subset-cap", "0"),
     ],
 )
-def test_workers_below_one_rejected(command, flag, value, capsys):
+def test_out_of_range_level_and_caps_rejected(command, flag, value, capsys):
     # a later occurrence of --level is parsed too, so it is refused
     argv = [command, "--family", "c4", *_LEVEL_ARGS[command], flag, value]
     with pytest.raises(SystemExit) as exc:
@@ -494,7 +489,7 @@ def test_workers_below_one_rejected(command, flag, value, capsys):
 
 
 def test_generate_takes_no_enumeration_flags(capsys):
-    # --subset-cap and --workers belong to count and verify, which enumerate
+    # --subset-cap belongs to count and verify, which enumerate
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--family", "c4", *_LEVEL_ARGS["generate"], "--subset-cap", "5"])
     assert exc.value.code == 2

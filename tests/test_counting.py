@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 from itertools import combinations
 from math import comb
@@ -31,7 +30,7 @@ from blowup_census import (
 )
 from blowup_census import counting
 from blowup_census import graphs as graphs_module
-from blowup_census.counting import _diagonal_raw, _pool_size, _twin_classes
+from blowup_census.counting import _diagonal_raw, _twin_classes
 from helpers import (
     brute_force_c4_count,
     complete_graph,
@@ -256,8 +255,7 @@ def _interleaved_parts(n: int, seed: str) -> tuple[Graph, int]:
 @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
 def test_enumeration_runs_at_word_boundaries(n, monkeypatch):
     # budgets of b chunks of a few rows that end mid-word, of runs of
-    # several c across the first word boundary, and the default; the runs
-    # dealt to 2 and 3 workers too
+    # several c across the first word boundary, and the default
     g, expected = _interleaved_parts(n, f"runs-{n}")
     assert expected >= 20
     straddled = chunked_mid_word = False
@@ -268,10 +266,6 @@ def test_enumeration_runs_at_word_boundaries(n, monkeypatch):
         straddled |= any(c1 - c0 > 1 and (c0 + 1) >> 6 != c1 >> 6 for c0, c1 in runs)
         chunked_mid_word |= any(c1 - c0 == 1 and 64 < c0 and (budget // c0) % 64 for c0, c1 in runs)
         assert count_induced_c4_enum(g).value == expected, f"budget={budget}"
-        for workers in (2, 3):
-            assert count_induced_c4_enum(g, workers=workers).value == expected, (
-                f"budget={budget} workers={workers}"
-            )
     assert straddled == (n > 64)
     assert chunked_mid_word == (n > 66)
 
@@ -792,7 +786,7 @@ def test_dispatch_reads_the_counters_at_call_time(monkeypatch):
             counting, name, lambda g, _f=original, _n=name, **kw: calls.append(_n) or _f(g, **kw)
         )
     g = cycle_graph(4)
-    assert count_induced_c4(g, Method.ENUMERATION, workers=2).value == 1
+    assert count_induced_c4(g, Method.ENUMERATION).value == 1
     assert count_induced_c4(g, Method.DIAGONAL).value == 1
     assert calls == ["count_induced_c4_enum", "count_induced_c4_diagonal"]
 
@@ -831,37 +825,3 @@ def test_isomorphism_invariance_spot():
             random.Random(seed).shuffle(perm)
             h = relabel(g, perm)
             assert count_induced_c4_enum(h).value == count_induced_c4_diagonal(h).value == expected
-
-
-def test_worker_count_does_not_change_results():
-    g = nested_blowup(base_graph(Family.THETA222), 2)
-    assert len(counting._enum_runs(g.n)) > 3
-    base_enum = count_induced_c4_enum(g)
-    assert base_enum.value == 1947705
-    for workers in (2, 3):
-        assert count_induced_c4_enum(g, workers=workers).value == base_enum.value
-
-
-def _usable_cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def test_pool_size_is_clamped():
-    cores = _usable_cores()
-    assert _pool_size(1, 100) == 1
-    assert _pool_size(2, 100) == min(2, cores)
-    assert _pool_size(10**9, 100) == min(100, cores)
-    assert _pool_size(10**9, 1) == 1
-    assert _pool_size(4, 0) == 1
-
-
-def test_pool_size_counts_the_cores_this_process_may_use(monkeypatch):
-    # an affinity mask of two cores on an eight-core machine caps the pool
-    # at two; without sched_getaffinity the core count is the cap
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-    assert _pool_size(8, 100) == 2
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert _pool_size(8, 100) == 8
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(8, 100) == 1

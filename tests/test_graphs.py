@@ -305,6 +305,19 @@ def test_validation_survives_python_optimize():
     ]
 
 
+@pytest.mark.parametrize(
+    "packed, message",
+    [
+        pytest.param(np.zeros((4, 1), np.int64), "packed adjacency of 4 vertices must be (4, 1) uint8", id="int64"),
+        pytest.param(np.zeros((4, 2), np.uint8), "packed adjacency of 4 vertices must be (4, 1) uint8", id="column"),
+        pytest.param(np.zeros((9, 1), np.uint8), "packed adjacency of 9 vertices must be (9, 2) uint8", id="row"),
+    ],
+)
+def test_from_packed_refuses_a_wrong_shape_or_dtype(packed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph._from_packed(packed)
+
+
 def test_from_edges_rejects_bad_input():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])

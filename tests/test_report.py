@@ -22,6 +22,7 @@ from blowup_census import (
     cycle_graph,
     render_summary,
 )
+from blowup_census.report import usable_cores
 from helpers import empty_graph
 
 
@@ -109,7 +110,7 @@ def test_meta_records_cores_and_blas(monkeypatch):
     report = build_report(_config(max_level=0))
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     assert report.meta["cpu_count"] == os.cpu_count()
-    assert report.meta["usable_cores"] == 2  # the affinity mask, as the worker pool reads it
+    assert report.meta["usable_cores"] == 2  # the affinity mask, not the core count
     assert report.meta["blas"] == blas["name"]
     assert report.meta["blas_version"] == blas["version"]
     assert report.meta["blas_threads"] == {
@@ -125,6 +126,12 @@ def test_meta_records_cores_and_blas(monkeypatch):
     assert other.comparable_dict() == report.comparable_dict()
     assert "cpu_count" not in json.dumps(report.comparable_dict())
     assert "OPENBLAS_NUM_THREADS" not in json.dumps(report.comparable_dict())
+    # without an affinity mask, the machine's core count, and 1 if unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert usable_cores() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cores() == 1
 
 
 def test_work_counters_outside_the_substance():
@@ -160,14 +167,6 @@ def test_determinism_modulo_timings():
     a = build_report(_config())
     b = build_report(_config())
     assert a.comparable_dict() == b.comparable_dict()
-
-
-def test_worker_count_does_not_change_substance():
-    a = build_report(_config(workers=1)).comparable_dict()
-    b = build_report(_config(workers=2)).comparable_dict()
-    a["config"].pop("workers")
-    b["config"].pop("workers")
-    assert a == b
 
 
 def test_subset_cap_marks_skipped():
@@ -226,8 +225,11 @@ def test_custom_family_report():
     assert rec.non_edges_graph == rec.non_edges_formula == 12
     assert rec.T_enum == rec.T_diagonal == rec.T_recurrence == 11
     assert rec.breakdown == TermBreakdown(0, 0, 9, 2)
-    # no hand-typed closed form exists for a custom base
+    # no hand-typed closed form exists for a custom base; the summary shows
+    # "-" for it, since a skip would mean a cap
     assert rec.T_closed_stated is None and rec.T_closed_derived is None
+    rows = render_summary(report).splitlines()[2:-1]
+    assert [row.split()[-2:] for row in rows] == [["-", "-"], ["-", "-"]]
     for level in report.levels:
         assert set(level.match_flags) == _RULE_FLAGS
         assert all(flag is True for flag in level.match_flags.values())
@@ -271,12 +273,6 @@ def test_run_config_validation():
         RunConfig(family=Family.C4, max_level=1, methods=())
     with pytest.raises(ValueError):
         RunConfig(family=Family.C4, max_level=1, methods=("enumeration",))
-
-
-@pytest.mark.parametrize("workers", [0, -5])
-def test_run_config_refuses_workers_below_one(workers):
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        RunConfig(family=Family.C4, max_level=1, workers=workers)
 
 
 def test_render_summary_mentions_findings_and_result():

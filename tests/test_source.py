@@ -17,3 +17,24 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+# The package does its work in the calling process: parallelism comes from
+# BLAS threads inside numpy, never from processes or threads it starts.
+_CONCURRENCY_MODULES = {"multiprocessing", "concurrent", "subprocess", "threading"}
+
+
+def test_no_process_or_thread_modules_in_the_package():
+    # imports inside functions count too: they start the same processes
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in _CONCURRENCY_MODULES]
+    assert SOURCES and found == []
