@@ -15,18 +15,22 @@ Two deliberately independent algorithms, each exact:
   and the raw sum is always even.  The summand depends only on the rows of
   u and v, and vertices with equal rows (false twins) have equal columns
   too, so the method works on the quotient: one vertex per class of equal
-  rows, each weighted by its class size.  One float32 matrix product per
-  stack, a run of consecutive classes sized to a memory budget, on the
-  union of their neighbourhoods, covers the non-edges of each class with
-  the later classes and within itself, each product row weighted by the
-  number of non-edges it stands for.  Consecutive product rows that name
-  the same common neighbourhood are merged first, one row per run weighted
-  by the run's non-edges: in a blow-up the non-edges from one class to the
-  members of one far blob share one.  The products are exact below 2**24
-  vertices; the weighted sums after them run in float32 up to 4096
-  vertices and in float64 beyond, and the rows are weighted in int64 up to
-  2**15 vertices and in Python ints beyond, each where a written bound
-  keeps it exact (see ``count_induced_c4_diagonal``).  The method reads
+  rows, each weighted by its class size.  A product row per non-edge of a
+  class with a later class or within itself stands for its common
+  neighbourhood; the rows are built packed, from the quotient's packed
+  rows, and consecutive rows that name the same neighbourhood are merged
+  before anything is unpacked, one row per run weighted by the run's
+  non-edges: in a blow-up the non-edges from one class to the members of
+  one far blob share one.  One float32 matrix product per stack, a run of
+  consecutive classes whose merged rows and union of neighbourhoods fit a
+  memory budget, multiplies the merged rows, unpacked onto that union, by
+  the quotient's block on it; where the union barely grows from one class
+  to the next, as it does at depth, one block serves the whole stack.  The
+  products are exact below 2**24 vertices; the weighted sums after them
+  run in float32 up to 4096 vertices and in float64 beyond, and the rows
+  are weighted in int64 up to 2**15 vertices and in Python ints beyond,
+  each where a written bound keeps it exact (see
+  ``count_induced_c4_diagonal``).  The method reads
   only the built graph and uses no blow-up identity: the merge compares
   sets the method has already computed, and nothing else.
 
@@ -79,14 +83,15 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class CountResult:
-    """A count with its wall time and work counters: ``subsets`` scanned and
-    chunk ``passes`` made for enumeration; distinct ``neighbourhoods``,
-    product ``rows``, the rows left after merging runs of equal
-    consecutive rows (``distinct``, summed over products), the union
-    ``columns`` of each stack's classes (summed over products), the
-    products (``passes``) and a bound on the peak
-    ``bytes`` of the large arrays (the quotient's and the largest pass's,
-    see ``_diagonal_bytes``) for the diagonal method."""
+    """A count with its wall time and work counters: ``subsets`` scanned,
+    chunk ``passes`` made and a bound on the peak ``bytes`` of the large
+    arrays (see ``_enum_bytes``) for enumeration; distinct
+    ``neighbourhoods``, product ``rows``, the rows left after merging runs
+    of equal consecutive rows (``distinct``), the union ``columns`` of each
+    stack's classes (summed over products), the products (``passes``) and
+    a bound on the peak ``bytes`` of the large arrays (the largest estimate
+    of the quotient, a window or a stack, see ``_diagonal_bytes``) for the
+    diagonal method."""
 
     value: int
     method: Method
@@ -223,6 +228,17 @@ def _enum_count_run(
     return total, passes
 
 
+def _enum_bytes(n: int) -> int:
+    """A bound on the bytes of the exhaustive scan's large arrays on n
+    vertices: the padded word rows and their complement, p = 8 ceil(n / 64)
+    bytes a vertex each, and one chunk's arrays, 24 of at most
+    _ENUM_BLOCK_BYTES each, or of p n for a c too large to share a run:
+    its run's stacked operands, its cells and masks, the flat indices of a
+    mask (16 bytes a cell) and its gathered operands."""
+    rows = 8 * -(-n // 64) * n
+    return 2 * rows + 24 * max(_ENUM_BLOCK_BYTES, rows)
+
+
 def _enum_count(packed: np.ndarray) -> tuple[int, int]:
     """Induced 4-cycles of the graph with these packed rows, and the chunk
     passes that took."""
@@ -257,7 +273,7 @@ def count_induced_c4_enum(
             "raise --subset-cap or use the diagonal method"
         )
     value, passes = _enum_count(g.packed)
-    work = {"subsets": subsets, "passes": passes}
+    work = {"subsets": subsets, "passes": passes, "bytes": _enum_bytes(g.n)}
     return CountResult(value, Method.ENUMERATION, time.perf_counter() - start, work)
 
 
@@ -286,44 +302,69 @@ def count_induced_c4_enum(
 # Q[C, C] gives |S_v| from the same product.  In a twin-free graph every
 # class is a single vertex and every weight 1.
 #
-# Representatives are taken in stacks, runs of consecutive representatives
-# that get product rows, and each stack is one product.  C is the union of
-# its members' neighbourhoods by class, and member u's row v of Y is
-# Q[v, C] & Q[u, C]: S_v stays inside N(u), and the classes of C outside
-# N(u) only add zeros.  A lone member's C is N(u), where Q[u, C] is all
-# ones.  A stack is as long as Y and the product, rows x (|C| + 1) float32
-# each, and the (|C| + 1)^2 block of Q fit the budget below, and at least
-# one representative: one whose rows alone exceed the budget is a stack by
-# itself, on the classes of its own neighbourhood.  Stack ends come from
-# the cumulative row count and a cumulative OR of the members' packed
-# quotient rows, over the window of members whose rows fit the budget at
-# the first member's width.  Each pass copies Q[:, C], the columns C of
-# every class, once, as the transpose of the rows Q[C, :]: Q is symmetric,
-# so Y's rows, the mask rows and Q's block are then row gathers from it,
-# never column gathers.
+# Product rows are ordered by u, then v, and made in windows of consecutive
+# members, the representatives that get product rows.  A window builds its
+# rows of Y packed, qp[v] & qp[u] on the packed quotient rows qp: the bits
+# of S_v and of the class of ones.  It compares each row with the row
+# before it, a word at a time, and keeps the first of every run of equal
+# rows, weighted by the sum of the run's weights (np.add.reduceat).  This is
+# exact: equal packed rows name the same class set S, hence the same |S|
+# and e(S), so every row of a run stands for the same summand, and the
+# run's summed weight times it adds up the same terms as the run's rows one
+# by one.  A run is the member's where it starts; runs span the members of
+# a window, never two windows.  Only consecutive rows are merged: grouping
+# every equal row by sorting or hashing finds more, but costs more than it
+# saves on twin-free graphs, where equal rows are rare.  The merge needs no
+# blow-up identity, only equality of sets the counter has built, so the two
+# counters stay independent.  A window masks its rows by one broadcast row
+# per member when its members hold 32 KiB of rows on average, else by one
+# gathered row per product row.
 #
-# Product rows are ordered by u, then v.  Once a pass has Y's bool rows, it
-# compares each with the row before it and keeps the first of every run of
-# equal rows, weighted by the sum of the run's weights (np.add.reduceat);
-# the float32 copy, the product, the row sums and the parity check then run
-# on those rows alone.  This is exact: equal rows of Y over C name the same
-# class set S, hence the same |S| and e(S), so every row of a run stands
-# for the same summand, and the run's summed weight times it adds up the
-# same terms as the run's rows one by one.
-# Runs may span two members of a stack.  Only consecutive rows are merged:
-# grouping every equal row of a pass by sorting or hashing finds more, but
-# costs more than it saves on twin-free graphs, where equal rows are rare.
-# The merge needs no blow-up identity, only equality of sets the pass has
-# built, so the two counters stay independent.
+# Members are multiplied in stacks, runs of consecutive members, one product
+# each, on C, the union of the members' neighbourhoods by class and the
+# class of ones: member u's row v of Y is Q[v, C] & Q[u, C], as S_v lies in
+# N(u) and the classes of C outside N(u) only add zeros.  A stack grows
+# while its merged rows and width fit (``_joins``): Y and the product, rows
+# x |C| float32 each, and Q's |C|^2 block within a small budget; or, while
+# C stays within a few columns of the first member's own width, Y and the
+# product within a wide one.  At depth a member has a few merged rows on
+# about two thirds of the quotient, and the neighbourhoods of one blob's
+# classes differ in a few classes, so one block of Q serves the blob.  A
+# member that fits neither is a stack by itself, on its own neighbourhood.
+# Stacks span windows: the merged rows not yet multiplied are held, a window
+# is merged when a stack first needs its rows, and the next member is first
+# tested with the rows already held, so that a stack that cannot grow
+# merges no window.  Stack ends come from a cumulative OR of the members'
+# packed quotient rows and the counts of merged rows.
+#
+# Only merged rows are unpacked, and only onto C.  Q's block is the rows
+# qp[C] unpacked, at the columns C.  With fewer merged rows than half the
+# classes, Y's rows are rebuilt packed and read on C a byte and a mask per
+# column; with more, they are row gathers from the unpacked rows of C
+# transposed, Q[:, C] by symmetry, whose one copy then costs less than a
+# column gather per row.
 
 # float32 represents every integer below 2**24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
 
-# A stack's float32 operands, Y, Q's block and their product, each hold at
-# most this many bytes, unless the stack is one representative.  Chosen by
-# a sweep from 128 KiB to 1 MiB (BENCH_diagonal_pass.json): larger stacks
-# save passes, but the operands are most of the counter's peak memory.
+# A stack grows while its float32 operands, Y's merged rows, Q's block and
+# their product, each hold at most this many bytes.  Chosen by a sweep from
+# 128 KiB to 1 MiB (BENCH_diagonal_pass.json).
 _DIAGONAL_BLOCK_BYTES = 3 << 16
+
+# A stack also grows while its union stays within 1/32 and 8 columns of its
+# first member's width, and Y's merged rows and the product each hold at
+# most this many bytes: Q's block is then barely larger than the first
+# member's own, and serves every member.  A sweep from 2 to 32 MiB
+# (BENCH_packed_diagonal.json) moved no level below 5 by more than noise;
+# from 4 MiB on, the width bounds the stacks.
+_DIAGONAL_WIDE_BYTES = 8 << 20
+
+# The product rows are gathered, packed, and merged in windows of
+# consecutive members whose packed rows hold at most this many bytes, and
+# at least one member.  Stacks span windows, so a sweep from 1 to 16 MiB
+# moved the time by no more than noise and the peak by the window.
+_DIAGONAL_WINDOW_BYTES = 2 << 20
 
 # The largest order whose weighted sums 2 e(S_v) <= deg(u)^2 stay below
 # 2**24, so that they are taken in float32; above it, in float64.
@@ -344,38 +385,102 @@ def _twin_classes(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.bincount(label, minlength=len(packed)).take(reps)
 
 
-def _diagonal_bytes(k: int, width: int = 0, rows: int = 0) -> int:
+def _diagonal_bytes(k: int, rows: int = 0, held: int = 0, width: int = 0, stacked: int = 0) -> int:
     """A bound on the bytes of the diagonal counter's large arrays on a
-    quotient of k classes: the bool quotient and far matrices and one
-    temporary beside them, at most (k + 1)^2 each; plus, for a pass on
-    ``width`` union columns (the class of ones among them) and ``rows``
-    product rows, every array the pass makes as if all were live at once:
-    the rows Q[C, :] and their transposed copy, (k + 1) x width bool each;
-    Y's two row gathers (rows x width) and Q's block (width^2) in bool and
-    again in float32; the gather of Y's first row of each run, in bool;
-    the product in float32; and the row-length arrays: at most nine of 8
-    bytes and one of 1 at a time, plus the row comparison's flags and
-    their copy with the first row, of 1 byte, and the run starts and run
-    weights, of 8 bytes.  Arrays of merged rows are counted at the full
-    row count.  The representatives' packed rows, the stack bookkeeping
-    and buffers inside numpy and BLAS are not counted."""
-    return 3 * (k + 1) ** 2 + 2 * (k + 1) * width + 5 * width * (2 * rows + width) + (width + 91) * rows
+    quotient of k classes, whose packed rows take b = 8 ceil((k + 1) / 64)
+    bytes: the bool quotient and two temporaries beside it, (k + 1) x 8 b
+    each, the packed quotient, the members' packed rows and their pairwise
+    unions, and 192 bytes a class for the per-class arrays and lists; plus
+    a window that gathers ``rows`` product rows, 2 b + 48 bytes a row: Y's
+    packed rows and the gathered mask rows or the comparison flags, the
+    classes u and v, the run starts and the weights; plus ``held`` merged
+    rows, 24 bytes each: their classes and weights; plus a stack on
+    ``width`` union columns (the class of ones among them) and ``stacked``
+    merged rows: the union's rows unpacked and their transposed copy, 8 b x
+    width bytes each, Q's block in bytes and in float32, and 2 b + 10 x
+    width + 40 bytes a row for Y's packed rows, its bytes on C and their
+    float32 copy, the product and the row sums.  The representatives'
+    packed rows (hashed and gathered), the vertices' class labels, the
+    stack bookkeeping and buffers inside numpy and BLAS are not counted."""
+    b = 8 * -(-(k + 1) // 64)
+    return (
+        (k + 1) * (25 * b + 192)
+        + rows * (2 * b + 48)
+        + held * 24
+        + width * (16 * b + 5 * width + 8)
+        + stacked * (2 * b + 10 * width + 40)
+    )
+
+
+def _merged_rows(
+    qp: np.ndarray, far: np.ndarray, size: np.ndarray, members: np.ndarray, ends: np.ndarray, start: int, end: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The product rows of members [start, end), one per run of equal
+    consecutive rows of Y, compared packed: the classes u and v of the
+    run's first row and the run's weight; and the merged rows up to the end
+    of each member.  A run spanning two members is the first one's."""
+    before = ends[start]
+    rows = int(ends[end] - before)
+    lo = members[start]  # far is empty on the rows between members
+    u, v = far[lo : members[end - 1] + 1].nonzero()
+    u += lo
+    y = qp.take(v, 0)
+    firsts = (ends[start:end] - before).tolist()
+    if rows * qp.shape[1] < (end - start) << 12:
+        y &= qp.take(u, 0)  # Y's rows, packed
+    else:  # members of 32 KiB of rows on average: one broadcast row each
+        for i, a, b in zip(members[start:end].tolist(), firsts, firsts[1:] + [rows]):
+            y[a:b] &= qp[i]
+    new = np.empty(rows, dtype=bool)
+    new[0] = True
+    np.any(y[1:] != y[:-1], axis=1, out=new[1:])
+    runs = new.nonzero()[0]
+    del new
+    weights = size.take(u)
+    weights *= size.take(v)
+    # a member with twins has its own class first, C(m, 2) non-edges
+    twins = np.flatnonzero(size.take(members[start:end]) > 1)
+    m = size.take(members.take(start + twins))
+    weights[ends.take(start + twins) - before] = m * (m - 1) // 2
+    weights = np.add.reduceat(weights, runs)
+    kept = np.searchsorted(runs, ends[start + 1 : end + 1] - before)
+    return u.take(runs), v.take(runs), weights, kept
+
+
+def _joins(width, rows, near: int):
+    """Whether a stack on ``width`` columns (the class of ones among them)
+    with ``rows`` merged rows fits: its float32 operands each within
+    _DIAGONAL_BLOCK_BYTES, or its width at most ``near`` and Y's rows and
+    the product each within _DIAGONAL_WIDE_BYTES.  Elementwise on arrays."""
+    small = 4 * width * np.maximum(rows, width) <= _DIAGONAL_BLOCK_BYTES
+    return small | (width <= near) & (4 * width * rows <= _DIAGONAL_WIDE_BYTES)
+
+
+def _on_columns(rows: np.ndarray, cols: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Bits ``cols`` of the packed rows (uint64 words, bit c in byte c >> 3)
+    as float32, column j multiplied by factor[j]."""
+    bit = np.left_shift(1, cols & 7).astype(np.uint8)
+    cells = rows.view(np.uint8).take(cols >> 3, axis=1)
+    cells &= bit  # 0 or 2**(c & 7)
+    out = cells.astype(np.float32)
+    out *= factor / bit  # exact: a power of two
+    return out
 
 
 def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int:
     """Sum over non-edges {u, v} of the non-adjacent pairs in N(u) & N(v),
     from the packed (n, ceil(n/8)) rows, computed per stack of
     representatives as the weighted sum of C(s_v, 2) - e(S_v) over its
-    product rows.
+    merged product rows.
 
-    Refuses (VertexCapExceeded) a quotient whose matrices would exceed
-    physical memory, before they are allocated.  ``work``, when given,
-    receives the number of distinct neighbourhoods, of product rows, of
-    product rows left after merging runs of equal rows (``distinct``,
-    summed over products), of union columns multiplied (summed over
-    products), of products
-    (``passes``) and the bound ``_diagonal_bytes`` on the peak ``bytes``:
-    the quotient's and the largest pass's."""
+    Refuses (VertexCapExceeded) the quotient, a window or a stack whose
+    arrays would exceed physical memory, each on its estimate
+    ``_diagonal_bytes`` before any of its arrays is allocated.  ``work``,
+    when given, receives the number of distinct neighbourhoods, of product
+    rows, of product rows left after merging runs of equal rows
+    (``distinct``), of union columns multiplied (summed over products), of
+    products (``passes``) and the largest estimate checked, a bound on the
+    peak ``bytes``."""
     n = len(packed)
     # the arithmetic after the products, chosen from n alone (see
     # count_induced_c4_diagonal for the bounds)
@@ -383,73 +488,107 @@ def _diagonal_raw(packed: np.ndarray, work: dict[str, int] | None = None) -> int
     int64_dot = n <= _INT64_DOT_ORDER
     reps, size = _twin_classes(packed)
     k = len(reps)
-    need = _diagonal_bytes(k)
-    graphs._check_memory(f"the diagonal counter's quotient on {k} classes of equal rows", need)
+    peak = _diagonal_bytes(k)
+    graphs._check_memory(f"the diagonal counter's quotient on {k} classes of equal rows", peak)
     rep_rows = packed.take(reps, 0)
     # adj[i, j]: representative i sees representative j.  Row and column k,
     # a class of size 0 that sees every class, give each product a column
-    # of ones, so that it also sums its rows.
-    adj = np.zeros((k + 1, k + 1), dtype=bool)
+    # of ones, so that it also sums its rows.  Rows are padded to words.
+    words = -(-(k + 1) // 64)
+    adj = np.zeros((k + 1, 64 * words), dtype=bool)
     adj[:k, :k] = rep_rows.take(reps >> 3, 1) >> (reps & 7).astype(np.uint8) & 1
     adj[:k, k] = adj[k, :k] = True
+    qp = np.packbits(adj, axis=1, bitorder="little").view("<u8")  # bit j of row i in word j >> 6
     scale = np.append(size, 0).astype(np.float32)
-    inside = size * (size - 1) // 2  # C(m, 2) non-edges within a class
     # far[i]: the later classes i does not see, and i itself when it has
     # twins; none when i has fewer than two neighbours
     ids = np.arange(k)
     far = np.greater(ids, ids[:, None]) > adj[:k, :k]
+    del adj
     far.flat[:: k + 1] = size > 1
     far[np.bitwise_count(rep_rows).sum(axis=1) < 2] = False
     counts = far.sum(axis=1)
     members = counts.nonzero()[0]  # the representatives that get product rows
     ends = np.cumsum(np.append(0, counts.take(members)))  # rows before each member
-    bits = np.packbits(adj.take(members, 0), axis=1, bitorder="little")
+    bits = qp.take(members, 0)
     alone = np.bitwise_count(bits).sum(axis=1, dtype=np.int64).tolist()
-    budget = _DIAGONAL_BLOCK_BYTES
-    doubled = distinct = columns = passes = start = 0
-    peak = need
+    pair = np.bitwise_count(bits[:-1] | bits[1:]).sum(axis=1, dtype=np.int64).tolist()
+    window = max(1, _DIAGONAL_WINDOW_BYTES // (8 * words))  # product rows
+    # the merged rows of members [start, loaded), with the number before
+    # each of them and after the last, from the first held row
+    u = v = weights = np.empty(0, dtype=np.int64)
+    kept, held = [0], 0
+    doubled = distinct = columns = passes = start = loaded = 0
     while start < len(members):
-        # the union is at least the first member's columns, which bounds the window
-        before = ends[start]
-        stop = np.searchsorted(ends, before + budget // (4 * alone[start]), "right") - 1
-        stop = max(start + 1, int(stop))
-        union = np.bitwise_or.accumulate(bits[start:stop], axis=0)
-        width = np.bitwise_count(union).sum(axis=1, dtype=np.int64)
-        rows = ends[start + 1 : stop + 1] - before
-        fits = 4 * width * np.maximum(rows, width) <= budget  # rows and width only grow
-        stop = start + max(1, int(fits.sum()))
-        cols = np.unpackbits(union[stop - start - 1], count=k + 1, bitorder="little")
-        cols = cols.nonzero()[0]  # C, then the class k
-        lo = members[start]  # far is empty on the rows between members
-        u, v = far[lo : members[stop - 1] + 1].nonzero()
-        u += lo
-        g = np.ascontiguousarray(adj.take(cols, 0).T)  # Q[:, C], by symmetry
-        y = g.take(v, 0)
-        if stop - start > 1:
-            y &= g.take(u, 0)
-        # one product row per run of equal consecutive rows of Y, weighted
-        # by the run's non-edges
-        key = y.view(np.dtype((np.void, y.shape[1])))[:, 0]  # each row's bytes as one value
-        new = np.ones(len(v), dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        runs = new.nonzero()[0]
-        weights = np.where(u == v, inside.take(u), size.take(u) * size.take(v))
-        weights = np.add.reduceat(weights, runs)
-        y = y.take(runs, 0).astype(np.float32)
-        y *= scale.take(cols)
-        paths = np.matmul(y, g.take(cols, 0).astype(np.float32))
+        # members join a stack while the union and the merged rows fit
+        union, stop, span = bits[start], start + 1, alone[start]
+        near = span + span // 32 + 8
+        grow = True
+        while grow:
+            while loaded <= stop and loaded < len(members):
+                if loaded == stop == start + 1 and not _joins(pair[start], kept[-1], near):
+                    break  # the next member fails with the first's rows alone: not merged yet
+                # merge the next window, each row gathered once
+                end = max(loaded + 1, int(np.searchsorted(ends, ends[loaded] + window, "right")) - 1)
+                rows = int(ends[end] - ends[loaded])
+                need = _diagonal_bytes(k, rows, held + len(u) + 2 * rows)
+                graphs._check_memory(f"the diagonal counter's window of {rows} rows on {k} classes", need)
+                peak = max(peak, need)
+                *more, counted = _merged_rows(qp, far, size, members, ends, loaded, end)
+                if len(u):  # rows of the stack so far, before the window's
+                    more = [np.concatenate(both) for both in zip((u, v, weights), more)]
+                u, v, weights = more
+                kept += (counted + kept[-1]).tolist()
+                held, loaded = len(u), end
+            if loaded <= stop or stop == start + 1 and not _joins(pair[start], kept[2], near):
+                break  # the next member does not fit, or there is none
+            acc = np.bitwise_or.accumulate(bits[stop : min(stop + 32, loaded)], axis=0)
+            acc |= union
+            width = np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
+            merged = np.array(kept[stop - start + 1 : stop - start + 1 + len(acc)])
+            fits = int(_joins(width, merged, near).sum())  # widths and rows only grow
+            if fits:
+                union, span = acc[fits - 1], int(width[fits - 1])
+            stop += fits
+            grow = fits == len(acc)
+        r1 = kept[stop - start]
+        kept = [x - r1 for x in kept[stop - start :]]
+        start = stop
+        if not r1:
+            continue  # every row continues a run of an earlier stack
+        need = _diagonal_bytes(k, 0, held, span, r1)
+        graphs._check_memory(f"the diagonal counter's stack of {r1} rows on {span} classes", need)
+        peak = max(peak, need)
+        cols = np.unpackbits(union.view(np.uint8), count=k + 1, bitorder="little").nonzero()[0]
+        # the rows of C, unpacked: Q[C, :], and by symmetry Q[:, C]
+        block = np.unpackbits(qp.take(cols, 0).view(np.uint8), axis=1, count=k + 1, bitorder="little")
+        if 2 * r1 < k + 1:  # Y on C from its packed rows
+            yp = qp.take(v[:r1], 0)
+            yp &= qp.take(u[:r1], 0)
+            yf = _on_columns(yp, cols, scale.take(cols))  # C, then the class k
+            del yp
+        else:  # from row gathers of Q[:, C], cheaper for many rows
+            g = np.ascontiguousarray(block.T)
+            yf = g.take(v[:r1], 0)
+            yf &= g.take(u[:r1], 0)
+            yf = yf.astype(np.float32)
+            yf *= scale.take(cols)
+            del g
+        paths = np.matmul(yf, block[:, cols].astype(np.float32))
+        del block
         s = paths[:, -1].astype(sums)  # |S_v|
-        twice_edges = np.einsum("ij,ij->i", paths, y, dtype=sums)
+        twice_edges = np.einsum("ij,ij->i", paths, yf, dtype=sums)
+        del paths, yf
         # twice the non-adjacent pairs in each S_v: |S_v| (|S_v| - 1) - 2 e(S_v)
         pairs = (s * (s - 1) - twice_edges).astype(np.int64)
         if (pairs & 1).any():
             raise CountParityError("handshake parity violated: adjacency is not symmetric")
-        doubled += int(weights @ pairs) if int64_dot else sum(map(mul, weights.tolist(), pairs.tolist()))
+        w = weights[:r1]
+        doubled += int(w @ pairs) if int64_dot else sum(map(mul, w.tolist(), pairs.tolist()))
+        u, v, weights = u[r1:], v[r1:], weights[r1:]
         columns += len(cols) - 1
-        distinct += len(runs)
-        peak = max(peak, _diagonal_bytes(k, len(cols), len(v)))
+        distinct += r1
         passes += 1
-        start = stop
     if work is not None:
         work.update(
             neighbourhoods=k, rows=int(ends[-1]), distinct=distinct, columns=columns, passes=passes, bytes=peak
@@ -462,19 +601,23 @@ def count_induced_c4_diagonal(g: Graph) -> CountResult:
 
     Refuses graphs of 2**24 or more vertices (VertexCapExceeded), on which
     the float32 products could be inexact, before any matrix is allocated;
-    and, on the estimate of ``_diagonal_bytes``, a quotient whose matrices
+    and, each on its estimate of ``_diagonal_bytes`` before its arrays
+    exist, a quotient, a window of product rows or a stack whose arrays
     would not fit in physical memory.
 
     Every step below 2**24 vertices is exact integer arithmetic:
 
-    * The products, in float32.  Y's entries are class sizes m_c or 0 and
-      Q is 0/1.  A stack's classes C may reach beyond N(u), but Y's row v
-      for a row of u is 0 outside S_v, which lies in N(u), so entry
-      (v, c') of Y @ Q[C, C] is |N(w) & S_v| <= deg(u) < n for every c' in
-      C, and the column of ones gives |S_v| <= deg(u).  Both are reached
-      through partial sums of non-negative integers that never exceed
-      them, in any order of summation, and float32 represents each
-      exactly while n < 2**24.
+    * The products, in float32.  Y's entries are class sizes m_c or 0,
+      read from a byte masked to 2**j and scaled by m_c / 2**j, both exact
+      in float32, and Q is 0/1.  A stack's classes C may reach far beyond
+      N(u), however many members share it, but Y's row v for a row of u is
+      0 outside S_v, which lies in N(u), so entry (v, c') of Y @ Q[C, C] is
+      |N(w) & S_v| <= deg(u) < n for every c' in C, and the column of ones
+      gives |S_v| <= deg(u).  Both are reached through partial sums of
+      non-negative integers that never exceed them, in any order of
+      summation, and float32 represents each exactly while n < 2**24.  A
+      row's bounds are its own member's, so the width of a stack changes
+      none of them.
     * The weighted sum 2 e(S_v) = sum_c' paths * Y of each row, in float32
       up to n = 4096 (``_FLOAT32_SUM_ORDER``), else in float64.  A term
       |N(w) & S_v| * m_c' is nonzero only for c' in S_v, where the two
@@ -486,11 +629,12 @@ def count_induced_c4_diagonal(g: Graph) -> CountResult:
     * The row weighting, one int64 dot up to n = 2**15
       (``_INT64_DOT_ORDER``), else Python ints.  A merged row's weight is
       the sum of its run's weights m_u * m_v or C(m_u, 2), each run's rows
-      having one pair count; it is at most the number of non-edges, below
-      n**2 / 2.  Each term, a merged row's weight times its even pair
-      count, is non-negative, and the terms are those of the unmerged rows
-      regrouped, so they add up to twice the raw sum, 4 T <= 4 C(n, 4) <
-      n**4 / 6, which is below 2**63 while n <= 2**15.
+      having one pair count, whichever members of a window the run spans;
+      it is at most the number of non-edges, below n**2 / 2.  Each term, a
+      merged row's weight times its even pair count, is non-negative, and
+      the terms are those of the unmerged rows regrouped, so they add up to
+      twice the raw sum, 4 T <= 4 C(n, 4) < n**4 / 6, which is below 2**63
+      while n <= 2**15.
     """
     start = time.perf_counter()
     if g.n >= FLOAT32_EXACT_LIMIT:

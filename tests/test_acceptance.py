@@ -21,6 +21,7 @@ from blowup_census import (
     Rational,
     Variant,
     base_graph,
+    base_invariants,
     blowup_levels,
     c4_closed_T,
     c4_partial_sums,
@@ -332,9 +333,10 @@ def test_criterion_12_theta_level_three_both_counters():
 
 def test_criterion_13_theta_level_four_diagonal():
     # theta L4 has 3125 vertices in 1250 classes of equal rows; the diagonal
-    # counter multiplies once per class, on the class columns of the
-    # quotient, with one product row per run of non-edges that share a
-    # common neighbourhood (313250 rows, 4250 after merging)
+    # counter merges runs of product rows that share a common neighbourhood
+    # (313250 rows, 4250 after merging), then multiplies once per stack of
+    # classes whose union of columns barely grows, on those columns of the
+    # quotient
     expected = 774665211375
     assert _rule("theta222", 4).T == theta_closed_T(4, Variant.DERIVED) == expected
 
@@ -389,11 +391,11 @@ def test_criterion_15_c4_level_four_both_counters():
 
 
 def test_criterion_17_c4_level_five_diagonal():
-    # c4 N=5 has 4096 vertices in 2048 classes of equal rows, one pass per
-    # class; the non-edges from a class to the members of one far blob
-    # share one common neighbourhood, so their consecutive product rows
-    # merge into one, and the count fits the budget.  C(4096, 4) ~ 1.2e13
-    # subsets are out of the scan's reach
+    # c4 N=5 has 4096 vertices in 2048 classes of equal rows; the non-edges
+    # from a class to the members of one far blob share one common
+    # neighbourhood, so their consecutive product rows merge into one, and
+    # the classes of one blob share one pass on nearly the same columns.
+    # C(4096, 4) ~ 1.2e13 subsets are out of the scan's reach
     expected = 1984696210432
     assert _rule("c4", 5).T == c4_closed_T(5, Variant.DERIVED) == expected
 
@@ -407,6 +409,30 @@ def test_criterion_17_c4_level_five_diagonal():
         17,
         f"diagonal on 4096 vertices ({diag.work['rows']} product rows merged to "
         f"{diag.work['distinct']}) {diag.value} == recurrence == derived in "
+        f"{diag.elapsed:.1f}s < 60s",
+    )
+
+
+def test_criterion_18_c5_level_four_diagonal():
+    # C5 N=4 has 3125 vertices and no two equal rows, so every vertex is a
+    # class of its own; its product rows merge 2440625 to 15561, and the
+    # vertices of one innermost blob share one pass.  C(3125, 4) ~ 4e12
+    # subsets are out of the scan's reach
+    expected = 239864625000
+    rule = blowup_levels(base_invariants(cycle_graph(5)), 4)[4]
+    assert rule.T == expected
+
+    g = nested_blowup(cycle_graph(5), 4)
+    assert (g.n, g.edge_count, g.non_edge_count) == (rule.n, rule.edges, rule.m) == (3125, 2440625, 2440625)
+    diag = count_induced_c4_diagonal(g)
+    assert diag.value == expected
+    assert diag.work["neighbourhoods"] == g.n
+    assert diag.work["distinct"] < diag.work["rows"]
+    assert diag.elapsed < 60.0
+    _report(
+        18,
+        f"diagonal on 3125 twin-free vertices ({diag.work['rows']} product rows merged to "
+        f"{diag.work['distinct']}, {diag.work['passes']} passes) {diag.value} == recurrence in "
         f"{diag.elapsed:.1f}s < 60s",
     )
 

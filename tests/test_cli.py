@@ -126,14 +126,14 @@ def test_count_json_record(tmp_path, capsys):
         "diagonal": 404,
     }
     assert {r["method"]: r["work"] for r in record["results"]} == {
-        "enum": {"subsets": 1820, "passes": 1},
+        "enum": {"subsets": 1820, "passes": 1, "bytes": 3145984},
         "diagonal": {
             "neighbourhoods": 8,
             "rows": 16,
             "distinct": 12,
             "columns": 8,
             "passes": 1,
-            "bytes": 3850,
+            "bytes": 7197,
         },
     }
     assert capsys.readouterr().out == out.read_text() + "\n"
@@ -427,7 +427,10 @@ def test_build_beyond_physical_memory(tmp_path, capsys, monkeypatch):
     )
     assert main(["verify", "--family", "c4", "--max-level", "2", "--format", "json"]) == 0
     levels = json.loads(capsys.readouterr().out)["levels"]
-    assert [rec["T_diagonal"] for rec in levels] == [1, 404, "skipped: cap"]
+    # the scan counts the levels that are built; the diagonal counter's
+    # quotient estimates (1176 and 3528 bytes) are refused too
+    assert [rec["T_enum"] for rec in levels] == [1, 404, "skipped: cap"]
+    assert [rec["T_diagonal"] for rec in levels] == ["skipped: cap"] * 3
     assert levels[2]["match_flags"]["edges_formula_vs_graph"] == "skipped: cap"
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 512)
     assert main(argv) == 0
@@ -436,19 +439,26 @@ def test_build_beyond_physical_memory(tmp_path, capsys, monkeypatch):
 
 def test_diagonal_beyond_physical_memory(capsys, monkeypatch):
     # c4 level 1: 16 vertices in 8 classes of equal rows, whose quotient
-    # matrices take 3 * 9^2 = 243 bytes; the refusal comes from that
-    # estimate, before any quotient matrix is allocated
-    monkeypatch.setattr(graphs, "_physical_memory", lambda: 242)
-    assert main(["count", "--family", "c4", "--level", "1", "--method", "diagonal"]) == 2
-    assert capsys.readouterr().err == (
-        "error: the diagonal counter's quotient on 8 classes of equal rows would take 243 bytes "
-        "(0.0 GiB), more than the 242 bytes of physical memory\n"
-    )
-    assert main(["verify", "--family", "c4", "--max-level", "1", "--format", "json"]) == 0
-    levels = json.loads(capsys.readouterr().out)["levels"]
-    assert [(rec["T_enum"], rec["T_diagonal"]) for rec in levels] == [(1, 1), (404, "skipped: cap")]
-    assert "diagonal" not in levels[1]["work"]
-    monkeypatch.setattr(graphs, "_physical_memory", lambda: 243)
+    # matrices take 9 * (25 * 8 + 192) = 3528 bytes; the refusal comes from
+    # that estimate, before any quotient matrix is allocated.  Its one
+    # window takes 5320 bytes and its one stack 7197, each refused the same
+    # way: count exits 2 and verify records the cap
+    for memory, subject, need in (
+        (3527, "quotient on 8 classes of equal rows", 3528),
+        (5319, "window of 16 rows on 8 classes", 5320),
+        (7196, "stack of 12 rows on 9 classes", 7197),
+    ):
+        monkeypatch.setattr(graphs, "_physical_memory", lambda: memory)
+        assert main(["count", "--family", "c4", "--level", "1", "--method", "diagonal"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the diagonal counter's {subject} would take {need} bytes "
+            f"(0.0 GiB), more than the {memory} bytes of physical memory\n"
+        )
+        assert main(["verify", "--family", "c4", "--max-level", "1", "--format", "json"]) == 0
+        levels = json.loads(capsys.readouterr().out)["levels"]
+        assert [(rec["T_enum"], rec["T_diagonal"]) for rec in levels] == [(1, 1), (404, "skipped: cap")]
+        assert "diagonal" not in levels[1]["work"]
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: 7197)
     assert main(["count", "--family", "c4", "--level", "1", "--method", "diagonal"]) == 0
     assert "diagonal: 404" in capsys.readouterr().out
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 from types import SimpleNamespace
@@ -198,18 +199,37 @@ def test_enumeration_chunks_stay_under_the_budget(monkeypatch):
     monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
     monkeypatch.setattr(np, "bitwise_count", spy)
     monkeypatch.setattr(counting, "_run_operands", spy_operands)
-    value = count_induced_c4_enum(g).value
+    result = count_induced_c4_enum(g)
+    tracemalloc.start()
+    try:
+        count_induced_c4_enum(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     monkeypatch.undo()
-    assert value == count_induced_c4_enum(g).value
+    assert result.value == count_induced_c4_enum(g).value
     assert budget // 4 < largest <= budget
     assert budget // 4 < stacked <= budget
+    # the reported bound covers the chunks, and every traced array with them
+    assert result.work["bytes"] == 2 * 200 * 32 + 24 * budget
+    assert max(largest, stacked) < peak <= result.work["bytes"]
+
+
+# The diagonal counter's byte budgets: at 1 byte each, every window and
+# every stack is one representative.
+_DIAGONAL_BUDGETS = ("_DIAGONAL_BLOCK_BYTES", "_DIAGONAL_WIDE_BYTES", "_DIAGONAL_WINDOW_BYTES")
+
+
+def _set_budgets(monkeypatch, budget: int) -> None:
+    for name in _DIAGONAL_BUDGETS:
+        monkeypatch.setattr(counting, name, budget)
 
 
 def test_diagonal_stacks_stay_under_the_budget(monkeypatch):
     # every product of the diagonal counter goes through np.matmul; on a
     # graph where no representative's rows alone exceed the budget, stacks
     # of several representatives fill Q's block, Y and the product up to
-    # the budget and never past it
+    # the budget (the block and wide budgets both) and never past it
     g = random_graph(150, 0.2, 3)
     budget = 1 << 16
     largest = products = 0
@@ -223,9 +243,11 @@ def test_diagonal_stacks_stay_under_the_budget(monkeypatch):
         return out
 
     lone: dict[str, int] = {}
-    monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", 1)
+    _set_budgets(monkeypatch, 1)
     expected = _diagonal_raw(g.packed, lone)
+    monkeypatch.undo()
     monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+    monkeypatch.setattr(counting, "_DIAGONAL_WIDE_BYTES", budget)
     monkeypatch.setattr(np, "matmul", spy)
     work: dict[str, int] = {}
     assert _diagonal_raw(g.packed, work) == expected
@@ -377,14 +399,15 @@ def test_grouped_diagonal_matches_per_vertex_reference():
 
 
 def test_diagonal_stacks_across_budgets(monkeypatch):
-    # 1 byte: every stack one representative, the per-representative
-    # products; 256 to 4096 bytes: stacks cut between representatives;
-    # 2**40: the whole quotient in one pass
+    # every budget at 1 byte: every window and stack one representative,
+    # the per-representative products; 256 to 2048 bytes: stacks cut
+    # between representatives, windows of a few rows; 2**40: the whole
+    # quotient in one pass
     graphs = _planted_twin_graphs()
     expected = [reference_diagonal_raw(dense_adjacency(g)) for g in graphs]
     lone = []
-    for budget in (1, 256, 1024, 4096, 1 << 40):
-        monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+    for budget in (1, 256, 1024, 2048, 1 << 40):
+        _set_budgets(monkeypatch, budget)
         passes = []
         for g, raw in zip(graphs, expected):
             work: dict[str, int] = {}
@@ -402,15 +425,25 @@ def test_diagonal_stacks_across_budgets(monkeypatch):
             assert set(passes) <= {0, 1}
 
 
+def _diagonal_settings() -> list[dict[str, int]]:
+    """Every budget at 1 byte (a window and a stack per representative),
+    every budget at its default, and windows of 1 byte under default
+    stacks (stacks that span windows)."""
+    defaults = {name: getattr(counting, name) for name in _DIAGONAL_BUDGETS}
+    return [dict.fromkeys(_DIAGONAL_BUDGETS, 1), defaults, {**defaults, "_DIAGONAL_WINDOW_BYTES": 1}]
+
+
 def test_merged_rows_on_nested_blowups(monkeypatch):
     # nested blow-ups of seeded random bases on 2 to 5 vertices, to the
     # deepest level of at most 125 vertices: as built, the rows from one
     # class to the members of one far blob are consecutive and merge; a
-    # seeded relabelling breaks most of those runs.  Both at a budget of 1
-    # byte (one representative a pass) and at the default
+    # seeded relabelling breaks most of those runs.  Then seeded twin-free
+    # G(n, p) up to 200 vertices, where every row is its own run but for
+    # rare equal neighbourhoods.  Each under every setting of the budgets
     rng = random.Random("merged-rows")
     distinct = {"built": 0, "relabelled": 0}
     rows = 0
+    cases = []
     for _ in range(16):
         base = random_graph(rng.randint(2, 5), rng.uniform(0.2, 0.8), rng.randrange(10**9))
         level = 1
@@ -419,16 +452,26 @@ def test_merged_rows_on_nested_blowups(monkeypatch):
         g = nested_blowup(base, level)
         perm = list(range(g.n))
         rng.shuffle(perm)
-        for name, h in (("built", g), ("relabelled", relabel(g, perm))):
-            raw = reference_diagonal_raw(dense_adjacency(h))
-            assert raw == 2 * count_induced_c4_enum(h).value, (name, base.rows, level)
-            for budget in (1, counting._DIAGONAL_BLOCK_BYTES):
-                monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
-                work: dict[str, int] = {}
-                assert _diagonal_raw(h.packed, work) == raw, (name, base.rows, level, budget)
+        cases += [("built", g), ("relabelled", relabel(g, perm))]
+    twin_free = 0
+    for n in (20, 45, 80, 120, 160, 200):
+        for p in (0.1, 0.3, 0.6):
+            g = random_graph(n, p, rng.randrange(10**9))
+            twin_free += len(set(g.rows)) == n
+            cases.append(("random", g))
+    assert twin_free >= 16
+    for name, h in cases:
+        raw = reference_diagonal_raw(dense_adjacency(h))
+        assert raw == 2 * count_induced_c4_enum(h).value, (name, h.rows)
+        for budgets in _diagonal_settings():
+            for budget, value in budgets.items():
+                monkeypatch.setattr(counting, budget, value)
+            work: dict[str, int] = {}
+            assert _diagonal_raw(h.packed, work) == raw, (name, h.rows, budgets)
+            if name != "random":
                 distinct[name] += work["distinct"]
                 rows += work["rows"]
-            monkeypatch.undo()
+        monkeypatch.undo()
     assert distinct["built"] < distinct["relabelled"] < rows // 2
     assert 10 * distinct["built"] < rows // 2
 
@@ -437,12 +480,15 @@ def test_run_spans_two_members_of_a_stack(monkeypatch):
     # 0 and 1 see each other and the false twins 2 and 3, which 4 sees too:
     # the rows (0, 4) and (1, 4) are both on S = {2, 3}, the last of
     # member 0 and the first of member 1, then 2's own row on {0, 1, 4}.
-    # One stack merges the first two; a pass per member cannot
+    # One window merges the first two, and its stack counts the merged row
+    # for both; a window per member cannot, whether each member is a stack
+    # (every budget at 1 byte) or the three share one (windows of 1 byte)
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
     raw = reference_diagonal_raw(dense_adjacency(g))
     assert raw // 2 == brute_force_c4_count(g) == count_induced_c4_enum(g).value == 2
-    for budget, passes, distinct in ((counting._DIAGONAL_BLOCK_BYTES, 1, 2), (1, 3, 3)):
-        monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
+    for budgets, passes, distinct in zip(_diagonal_settings(), (3, 1, 1), (3, 2, 3)):
+        for budget, value in budgets.items():
+            monkeypatch.setattr(counting, budget, value)
         work: dict[str, int] = {}
         assert _diagonal_raw(g.packed, work) == raw
         assert (work["rows"], work["distinct"], work["passes"]) == (3, distinct, passes)
@@ -491,16 +537,71 @@ def test_diagonal_arithmetic_regimes(monkeypatch, float32_order, int64_order, su
 
 
 def test_diagonal_quotient_beyond_physical_memory(monkeypatch):
-    # c4 L1 has 8 classes of equal rows: 3 * 9^2 = 243 bytes of quotient,
-    # refused from that estimate before any matrix is allocated
+    # c4 L1 has 8 classes of equal rows, packed in one word: 9 * (25 * 8 +
+    # 192) = 3528 bytes of quotient, refused from that estimate before any
+    # matrix is allocated
     g = nested_blowup(base_graph(Family.C4), 1)
-    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 242)
+    peak = count_induced_c4_diagonal(g).work["bytes"]
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 3527)
     with monkeypatch.context() as m:
         m.setattr(np, "zeros", None)
-        with pytest.raises(VertexCapExceeded, match="8 classes of equal rows would take 243 bytes"):
+        with pytest.raises(VertexCapExceeded, match="8 classes of equal rows would take 3528 bytes"):
             count_induced_c4_diagonal(g)
-    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 243)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: peak)
     assert count_induced_c4_diagonal(g).value == 404
+
+
+def test_diagonal_pass_beyond_physical_memory(monkeypatch):
+    # c4 L1 fits its quotient in 3528 bytes; its one window, the 16 product
+    # rows of all members, in 3528 + 16 (2 * 8 + 48) + 2 * 16 * 24 = 5320;
+    # its one stack, 12 merged rows on the 9 columns of both classes and
+    # the class of ones, in 3528 + 12 * 24 + 9 * (16 * 8 + 5 * 9 + 8) +
+    # 12 * (2 * 8 + 10 * 9 + 40) = 7197.  Each is refused from its estimate
+    # before any of its arrays exists: no window merged, no column
+    # unpacked, no product
+    g = nested_blowup(base_graph(Family.C4), 1)
+    assert count_induced_c4_diagonal(g).work["bytes"] == 7197
+    for memory, poisoned, message in (
+        (3528, (np, "matmul"), "window of 16 rows on 8 classes would take 5320 bytes"),
+        (3528, (counting, "_merged_rows"), "window of 16 rows on 8 classes would take 5320 bytes"),
+        (7196, (np, "unpackbits"), "stack of 12 rows on 9 classes would take 7197 bytes"),
+        (7196, (np, "matmul"), "stack of 12 rows on 9 classes would take 7197 bytes"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(graphs_module, "_physical_memory", lambda: memory)
+            m.setattr(*poisoned, None)
+            with pytest.raises(VertexCapExceeded, match=message):
+                count_induced_c4_diagonal(g)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 7197)
+    assert count_induced_c4_diagonal(g).value == 404
+
+
+@pytest.mark.parametrize("budget", ["one", "default"])
+def test_diagonal_bytes_bound_the_traced_peak(monkeypatch, budget):
+    # every array the counter allocates is traced; its peak stays within
+    # the largest estimate plus what the estimate leaves out: the
+    # representatives' packed rows, hashed and gathered, the vertices'
+    # class labels and a fixed allowance for the bookkeeping
+    if budget == "one":
+        _set_budgets(monkeypatch, 1)
+    graphs = [
+        nested_blowup(base_graph(Family.THETA222), 3),
+        nested_blowup(cycle_graph(5), 3),
+        nested_blowup(base_graph(Family.C4), 4),
+        random_graph(300, 0.3, 300),
+    ]
+    assert len(set(graphs[-1].rows)) == 300
+    for g in graphs:
+        _diagonal_raw(g.packed)  # numpy's first-call caches
+        work: dict[str, int] = {}
+        tracemalloc.start()
+        try:
+            _diagonal_raw(g.packed, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        k, width = work["neighbourhoods"], g.packed.shape[1]
+        assert peak <= work["bytes"] + 2 * k * (width + 64) + 64 * g.n + (64 << 10), (g.n, budget)
 
 
 @pytest.mark.parametrize(
@@ -562,69 +663,125 @@ def _diagonal_members(g: Graph) -> list[Member]:
     return members
 
 
-def _stacks(members: list[Member], budget: int) -> list[Member]:
-    """Consecutive members taken greedily while rows x (union + 1) and
-    (union + 1)^2 float32 cells fit the budget; at least one each."""
-    stacks: list[Member] = []
-    for rows, nbrs in members:
-        if stacks:
-            total, union = stacks[-1][0] + rows, stacks[-1][1] | nbrs
-            if 4 * (len(union) + 1) * max(len(total), len(union) + 1) <= budget:
-                stacks[-1] = (total, union)
-                continue
-        stacks.append((rows, nbrs))
-    return stacks
-
-
 def _runs(rows: list[frozenset[int]]) -> int:
     """Runs of equal consecutive rows."""
     return sum(1 for i, row in enumerate(rows) if i == 0 or row != rows[i - 1])
 
 
-def _peak_bytes(k: int, stacks: list[Member]) -> int:
-    """The quotient's bool matrices, 3 (k + 1)^2 bytes, plus the largest
-    pass on w columns (its union and the class of ones) and r rows: the
-    rows Q[C, :] and their transpose, 2 (k + 1) w bool; Y's two gathers
-    (r x w) and Q's block (w x w) in bool and in float32, the gather of
-    each run's first row (r x w) in bool and the product (r x w) in
-    float32; 91 bytes a row for the row-length arrays, the row
-    comparison's flags, the run starts and the run weights."""
-    widths = [(len(rows), len(union) + 1) for rows, union in stacks]
-    return 3 * (k + 1) ** 2 + max(
-        (2 * (k + 1) * w + 11 * rows * w + 5 * w * w + 91 * rows for rows, w in widths), default=0
-    )
+def _estimate(k: int, rows: int = 0, held: int = 0, width: int = 0, stacked: int = 0) -> int:
+    """The diagonal counter's byte estimate, restated: packed rows of
+    b = 8 ceil((k + 1) / 64) bytes; the quotient, (k + 1) (25 b + 192);
+    a window's gathered rows, 2 b + 48 bytes each; merged rows held, 24
+    bytes each; and a stack on w columns with r merged rows,
+    w (16 b + 5 w + 8) + r (2 b + 10 w + 40)."""
+    b = 8 * -(-(k + 1) // 64)
+    quotient = (k + 1) * (25 * b + 192)
+    stack = width * (16 * b + 5 * width + 8) + stacked * (2 * b + 10 * width + 40)
+    return quotient + rows * (2 * b + 48) + held * 24 + stack
 
+
+def _diagonal_work(g: Graph, block: int, wide: int, window: int) -> dict[str, int]:
+    """The diagonal counter's work counters, replayed on the members'
+    product rows: windows of consecutive members whose rows fit the window
+    budget, merged runs of equal rows within each, counted where they start;
+    stacks of consecutive members that grow while their union (with the
+    class of ones) and merged rows fit the block budget, or stay within
+    1/32 and 8 columns of the first member's width and fit the wide budget;
+    each window merged when the stack growing into it first needs its rows,
+    unless the next member fails with the rows held alone."""
+    k = len(_row_classes(g))
+    members = _diagonal_members(g)
+    b = 8 * -(-(k + 1) // 64)
+    cap = max(1, window // b)
+    windows, kept = [], []
+    while len(kept) < len(members):
+        first = end = len(kept)
+        rows: list[frozenset[int]] = []
+        while end < len(members) and (end == first or len(rows) + len(members[end][0]) <= cap):
+            rows += members[end][0]
+            end += 1
+        windows.append((end, len(rows)))
+        starts = [i for i, row in enumerate(rows) if i == 0 or row != rows[i - 1]]
+        offset = 0
+        for own, _ in members[first:end]:
+            kept.append(sum(1 for s in starts if offset <= s < offset + len(own)))
+            offset += len(own)
+
+    def width(a: int, z: int) -> int:
+        return len(set().union(*(nbrs for _, nbrs in members[a:z]))) + 1
+
+    estimates = [_estimate(k)]
+    passes = columns = start = loaded = held = pending = done = 0
+
+    def merge() -> None:  # the next window
+        nonlocal done, held, loaded, pending
+        end, rows = windows[done]
+        done += 1
+        estimates.append(_estimate(k, rows, held + pending + 2 * rows))
+        pending += sum(kept[loaded:end])
+        held, loaded = pending, end
+
+    while start < len(members):
+        stop, first = start + 1, width(start, start + 1)
+        near = first + first // 32 + 8
+
+        def joins(w: int, r: int) -> bool:
+            return 4 * w * max(r, w) <= block or w <= near and 4 * w * r <= wide
+
+        while loaded <= start:
+            merge()
+        while stop < len(members):
+            if loaded == stop:
+                if stop == start + 1 and not joins(width(start, stop + 1), kept[start]):
+                    break  # the next member fails with the first's rows alone
+                merge()
+            elif joins(width(start, stop + 1), sum(kept[start : stop + 1])):
+                stop += 1
+            else:
+                break
+        merged = sum(kept[start:stop])
+        pending -= merged
+        if merged:
+            estimates.append(_estimate(k, 0, held, width(start, stop), merged))
+            passes += 1
+            columns += width(start, stop) - 1
+        start = stop
+    return {
+        "neighbourhoods": k,
+        "rows": sum(len(r) for r, _ in members),
+        "distinct": sum(kept),
+        "columns": columns,
+        "passes": passes,
+        "bytes": max(estimates),
+    }
 
 def test_diagonal_work_counters(monkeypatch):
-    # rows are the members' product rows; each stack is one pass on the
-    # union of its members' classes, with one product row per run of equal
-    # common neighbourhoods in it.  At a budget of 1 byte every stack is
-    # one representative, on the classes of its own neighbourhood, and no
-    # run spans two members.
-    merged = spanned = 0
+    # rows are the members' product rows, merged in windows of consecutive
+    # members; each stack is one pass on the union of its members' classes.
+    # At budgets of 1 byte every window and every stack is one
+    # representative, on the classes of its own neighbourhood, and no run
+    # spans two members; at the defaults runs span the members of a window;
+    # with windows of 1 byte and default stacks, stacks span windows
+    settings = _diagonal_settings()
+    merged = spanned = across = 0
     for g in _planted_twin_graphs():
         classes = _row_classes(g)
         members = _diagonal_members(g)
         rows = sum(len(r) for r, _ in members)
-        for budget in (1, counting._DIAGONAL_BLOCK_BYTES):
-            monkeypatch.setattr(counting, "_DIAGONAL_BLOCK_BYTES", budget)
-            stacks = _stacks(members, budget)
-            distinct = sum(_runs(r) for r, _ in stacks)
-            merged += distinct < rows
-            spanned += distinct < sum(_runs(r) for r, _ in members)
-            assert count_induced_c4_diagonal(g).work == {
-                "neighbourhoods": len(classes),
-                "rows": rows,
-                "distinct": distinct,
-                "columns": sum(len(union) for _, union in stacks),
-                "passes": len(stacks),
-                "bytes": _peak_bytes(len(classes), stacks),
-            }
+        works = []
+        for budgets in settings:
+            for name, value in budgets.items():
+                monkeypatch.setattr(counting, name, value)
+            works.append(count_induced_c4_diagonal(g).work)
+            assert works[-1] == _diagonal_work(g, *budgets.values()), budgets
+            merged += works[-1]["distinct"] < rows
+            spanned += works[-1]["distinct"] < sum(_runs(r) for r, _ in members)
         monkeypatch.undo()
+        across += works[2]["passes"] < works[0]["passes"]
         if len(classes) == g.n:
             # twin-free: a row per non-edge {u, v > u} with deg(u) >= 2, as
             # per vertex, and one pass on deg(u) columns for every u that
-            # gets a product at a budget of 1 byte
+            # gets a product at budgets of 1 byte
             adjacency = g.rows
             far = [
                 [v for v in range(u + 1, g.n) if not (adjacency[u] >> v) & 1]
@@ -633,20 +790,19 @@ def test_diagonal_work_counters(monkeypatch):
                 for u in range(g.n)
             ]
             assert rows == sum(map(len, far))
-            lone = _stacks(members, 1)
-            assert len(lone) == sum(1 for u in range(g.n) if far[u])
-            assert sum(len(c) for _, c in lone) == sum(
-                adjacency[u].bit_count() for u in range(g.n) if far[u]
-            )
-    assert merged >= 300 and spanned >= 50
-    assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5, "passes": 1}
+            assert works[0]["passes"] == sum(1 for u in range(g.n) if far[u])
+            assert works[0]["columns"] == sum(adjacency[u].bit_count() for u in range(g.n) if far[u])
+    assert merged >= 300 and spanned >= 50 and across >= 50
+    enum_bytes = 16 * 5 + 24 * counting._ENUM_BLOCK_BYTES  # one word a vertex
+    assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5, "passes": 1, "bytes": enum_bytes}
     for g in (empty_graph(0), empty_graph(1), complete_graph(2), cycle_graph(3)):
         result = count_induced_c4_enum(g)
-        assert (result.value, result.work) == (0, {"subsets": 0, "passes": 0})
-    # a 100-vertex graph: four runs of c, one pass each
+        assert (result.value, result.work) == (0, {"subsets": 0, "passes": 0, "bytes": 16 * g.n + 24 * (1 << 17)})
+    # a 100-vertex graph: four runs of c, one pass each, two words a vertex
     assert count_induced_c4_enum(random_graph(100, 0.5, 1)).work == {
         "subsets": comb(100, 4),
         "passes": 4,
+        "bytes": 32 * 100 + 24 * (1 << 17),
     }
 
 
@@ -703,14 +859,16 @@ def test_weighted_step_is_exact_beyond_float32():
     result = count_induced_c4_diagonal(Graph(3 * part, rows))
     assert result.value == 3 * comb(part, 2) ** 2 == 211209324331008
     # one stack: each class's own row, on the union of the three classes;
-    # the three rows name three different neighbourhoods, so none merge
+    # the three rows name three different neighbourhoods, so none merge.
+    # Its estimate is the peak: 4 * (25 * 8 + 192) of quotient, 3 merged
+    # rows held, 4 columns and 3 rows on them
     assert result.work == {
         "neighbourhoods": 3,
         "rows": 3,
         "distinct": 3,
         "columns": 3,
         "passes": 1,
-        "bytes": 565,
+        "bytes": 1568 + 3 * 24 + 4 * (16 * 8 + 5 * 4 + 8) + 3 * (2 * 8 + 10 * 4 + 40),
     }
 
 

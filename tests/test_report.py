@@ -139,21 +139,23 @@ def test_work_counters_outside_the_substance():
     # c4 L1: 8 classes of 2 false twins; each class is multiplied against its
     # own row and, in copies 0 and 1, against the two classes of the copy
     # opposite, which share one common neighbourhood (copies 1 and 3 or 0
-    # and 2), so those 8 rows merge into 4; all 16 rows fit one pass on the
-    # union of the neighbourhoods, all 8 classes; its bytes are the
-    # quotient's 3 * 9^2, the union's 9 columns (the class of ones among
-    # them) of all 9 classes and their transpose, 2 * 9 * 9, the bool and
-    # float32 operands, 5 * 9 * (2 * 16 + 9), the gather of the merged rows
-    # and the row-length arrays, (9 + 91) * 16
+    # and 2), so those 8 rows merge into 4; all 16 rows are one window and
+    # one pass on the union of the neighbourhoods, all 8 classes.  Its
+    # bytes are the stack's estimate: the quotient's 9 * (25 * 8 + 192),
+    # packed rows of one word; the 12 merged rows held, 24 bytes each; the
+    # union's 9 columns (the class of ones among them), 9 * (16 * 8 + 5 *
+    # 9 + 8); and the 12 rows on them, 12 * (2 * 8 + 10 * 9 + 40).  The
+    # scan's bytes are its 16 padded word rows and their complement, 2 * 16
+    # * 8, and 24 chunk budgets
     assert report.levels[1].work == {
-        "enum": {"subsets": 1820, "passes": 1},
+        "enum": {"subsets": 1820, "passes": 1, "bytes": 2 * 16 * 8 + 24 * (1 << 17)},
         "diagonal": {
             "neighbourhoods": 8,
             "rows": 16,
             "distinct": 12,
             "columns": 8,
             "passes": 1,
-            "bytes": 3850,
+            "bytes": 3528 + 12 * 24 + 9 * (16 * 8 + 5 * 9 + 8) + 12 * (2 * 8 + 10 * 9 + 40),
         },
     }
     assert [rec["work"] for rec in json.loads(report.to_json())["levels"]] == [rec.work for rec in report.levels]
