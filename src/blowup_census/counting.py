@@ -316,9 +316,7 @@ def count_induced_c4_enum(
 # every equal row by sorting or hashing finds more, but costs more than it
 # saves on twin-free graphs, where equal rows are rare.  The merge needs no
 # blow-up identity, only equality of sets the counter has built, so the two
-# counters stay independent.  A window masks its rows by one broadcast row
-# per member when its members hold 32 KiB of rows on average, else by one
-# gathered row per product row.
+# counters stay independent.
 #
 # Members are multiplied in stacks, runs of consecutive members, one product
 # each, on C, the union of the members' neighbourhoods by class and the
@@ -392,16 +390,17 @@ def _diagonal_bytes(k: int, rows: int = 0, held: int = 0, width: int = 0, stacke
     each, the packed quotient, the members' packed rows and their pairwise
     unions, and 192 bytes a class for the per-class arrays and lists; plus
     a window that gathers ``rows`` product rows, 2 b + 48 bytes a row: Y's
-    packed rows and the gathered mask rows or the comparison flags, the
-    classes u and v, the run starts and the weights; plus ``held`` merged
-    rows, 24 bytes each: their classes and weights; plus a stack on
-    ``width`` union columns (the class of ones among them) and ``stacked``
-    merged rows: the union's rows unpacked and their transposed copy, 8 b x
-    width bytes each, Q's block in bytes and in float32, and 2 b + 10 x
-    width + 40 bytes a row for Y's packed rows, its bytes on C and their
-    float32 copy, the product and the row sums.  The representatives'
-    packed rows (hashed and gathered), the vertices' class labels, the
-    stack bookkeeping and buffers inside numpy and BLAS are not counted."""
+    packed rows and the gathered mask rows, then the comparison flags in
+    their place, the classes u and v, the run starts and the weights; plus
+    ``held`` merged rows, 24 bytes each: their classes and weights; plus a
+    stack on ``width`` union columns (the class of ones among them) and
+    ``stacked`` merged rows: the union's rows unpacked and their transposed
+    copy, 8 b x width bytes each, Q's block in bytes and in float32, and
+    2 b + 10 x width + 40 bytes a row for Y's packed rows, its bytes on C
+    and their float32 copy, the product and the row sums.  The
+    representatives' packed rows (hashed and gathered), the vertices' class
+    labels, the stack bookkeeping and buffers inside numpy and BLAS are not
+    counted."""
     b = 8 * -(-(k + 1) // 64)
     return (
         (k + 1) * (25 * b + 192)
@@ -425,12 +424,7 @@ def _merged_rows(
     u, v = far[lo : members[end - 1] + 1].nonzero()
     u += lo
     y = qp.take(v, 0)
-    firsts = (ends[start:end] - before).tolist()
-    if rows * qp.shape[1] < (end - start) << 12:
-        y &= qp.take(u, 0)  # Y's rows, packed
-    else:  # members of 32 KiB of rows on average: one broadcast row each
-        for i, a, b in zip(members[start:end].tolist(), firsts, firsts[1:] + [rows]):
-            y[a:b] &= qp[i]
+    y &= qp.take(u, 0)  # Y's rows, packed
     new = np.empty(rows, dtype=bool)
     new[0] = True
     np.any(y[1:] != y[:-1], axis=1, out=new[1:])
