@@ -2,13 +2,14 @@
 
 Two deliberately independent algorithms, each exact:
 
-* enumeration visits every 4-vertex subset {a < b < c < d} and keeps those
-  in which {a, b, c} induces a path and d sees the path's two ends but not
-  its centre (equivalent to being an induced 4-cycle).  For a run of
-  consecutive c at a time, sized to a memory budget, it lists the induced
-  paths on a < b < c by their centre with one broadcast numpy pass, then
-  tests every candidate d > c of a path at once, 64 per uint64 word of the
-  adjacency rows, with one AND and a popcount;
+* enumeration decides every 4-vertex subset {a < b < c < d}: it is an
+  induced 4-cycle when {a, b, c} induces a path and d sees the path's two
+  ends but not its centre.  It takes the subsets by their third vertex c,
+  a run of consecutive c at a time sized to a memory budget, and counts
+  them by float32 products: for each c, P_c[x, d] counts the neighbours of
+  c below it that see both x < c and d > c, and two sums over P_c, by the
+  path's centre, give the subsets; they are exact by a written bound (see
+  ``count_induced_c4_enum``);
 * the diagonal method sums, over non-edges {u, v}, the number of unordered
   non-adjacent pairs inside N(u) & N(v), then halves.  An induced 4-cycle has
   exactly two non-adjacent diagonal pairs, so it is counted once per diagonal
@@ -34,10 +35,15 @@ Two deliberately independent algorithms, each exact:
   only the built graph and uses no blow-up identity: the merge compares
   sets the method has already computed, and nothing else.
 
-The two share nothing but the graph's packed rows, ``Graph.packed``.
-Blow-up graphs are dense with comparatively few non-edges, which is what
-makes the diagonal method the scalable one here.  Both counters run in the
-calling process; the diagonal method gets its parallelism from BLAS threads.
+The two share nothing but the graph's packed rows, ``Graph.packed``, and
+the orders that bound their float sums: the scan's products form no
+quotient, class of twins or non-edge neighbourhood and call no code of
+``_diagonal_raw``.  Blow-up graphs are dense with comparatively few
+non-edges, which is what makes the diagonal method the scalable one here.
+Both counters run in the calling process and both get their parallelism
+from BLAS threads; the checks that use no BLAS are the brute-force oracle
+of the tests (``brute_force_c4_count``) and README's frozen ground-truth
+table.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ class SubsetCapExceeded(RuntimeError):
 
 
 class CountParityError(RuntimeError):
-    """A parity invariant of the diagonal counter failed: a bug, never a data issue."""
+    """A parity invariant of a counter failed: a bug, never a data issue."""
 
 
 class Method(str, Enum):
@@ -84,14 +90,14 @@ class Method(str, Enum):
 @dataclass(frozen=True)
 class CountResult:
     """A count with its wall time and work counters: ``subsets`` scanned,
-    chunk ``passes`` made and a bound on the peak ``bytes`` of the large
-    arrays (see ``_enum_bytes``) for enumeration; distinct
-    ``neighbourhoods``, product ``rows``, the rows left after merging runs
-    of equal consecutive rows (``distinct``), the union ``columns`` of each
-    stack's classes (summed over products), the products (``passes``) and
-    a bound on the peak ``bytes`` of the large arrays (the largest estimate
-    of the quotient, a window or a stack, see ``_diagonal_bytes``) for the
-    diagonal method."""
+    the products (``passes``, one a run of third vertices) and a bound on
+    the peak ``bytes`` of the large arrays (see ``_enum_bytes``) for
+    enumeration; distinct ``neighbourhoods``, product ``rows``, the rows
+    left after merging runs of equal consecutive rows (``distinct``), the
+    union ``columns`` of each stack's classes (summed over products), the
+    products (``passes``) and a bound on the peak ``bytes`` of the large
+    arrays (the largest estimate of the quotient, a window or a stack, see
+    ``_diagonal_bytes``) for the diagonal method."""
 
     value: int
     method: Method
@@ -112,147 +118,131 @@ class CountResult:
 # yz, zd and dx and, the path being induced, neither xz nor yd: the cycle
 # x - y - z - d - x, induced.
 #
-# Subsets are grouped by their third vertex c, and the values of c are cut
-# into runs of consecutive c that numpy scans together.  The cells (b, c, a)
-# of a run [c0, c1), for b, a < c1 - 1, form one grid unpacked from the
-# adjacency rows, with c1 - c0 values of c per b; cells with a >= b or
-# b >= c are masked off by broadcasting.  The missing edge of a path names
-# its centre, so the cells split into three masks, one per centre, and no
-# cell is in two.  The candidates d are bit-sliced, 64 per uint64 word of
-# the row-major rows W, and with P = W & W[c] and Q = W & ~W[c], both
-# masked to d > c and stacked over the run's values of c, each centre is
-# one popcount over gathered rows:
+# Subsets are grouped by their third vertex c and counted by float32
+# products.  For a c, U holds the neighbours of c below it and V the other
+# vertices below it, e the neighbours of c above it and o the other
+# vertices above it, and P_c[x, d] = |{u in U : u ~ x, u ~ d}| for
+# x < c < d.  A path on {a < b < c} has its centre at a or b when its edge
+# ab joins a u in U to a v in V: then d lies in e, sees v and misses u, so
+# the subsets of such paths number
 #
-#   centre b (ab, bc; no ac):  |P[a] & ~W[b]|
-#   centre a (ab, ac; no bc):  |~W[a] & P[b]|
-#   centre c (ac, bc; no ab):  |Q[a] & W[b]|
+#   sum over v in V, d in e, v ~ d of  deg_U(v) - P_c[v, d].
 #
-# Every term holds P or Q, which have no bits at or below c and none beyond
-# n, so the set padding bits of ~W never count.  Each of the C(n, 4) subsets
-# is decided once, by the test of the path on its three smallest vertices,
-# and np.bitwise_count adds up the survivors.
+# Its centre is c when a and b are a non-adjacent pair of U; then d lies in
+# o and sees both, and over each d in o with cnt(d) = |N(d) & U| neighbours
+# in U the non-adjacent pairs are C(cnt(d), 2) less the edges among them:
 #
-# A run takes as many values of c as fit the budget below, cells and stacked
-# operands alike, so that small c share a pass: a graph of 100 vertices
-# takes a few passes, not one per c.  A c too large to share a run is
-# scanned alone, in chunks of consecutive b that each fit the budget.  In a
-# chunk of r values of c, with b0 <= b < b1 and a < w = b1 - 1, cell
-# (b, c, a) has the flat index i = ((b - b0) r + c - c0) w + a.  Then i // w
-# is the row of P stacked by (b, c) from b0 on, and i // (r w) is b - b0
-# with remainder the row of P or Q stacked by (c, a) with w rows per c: the
-# stride of a run's one chunk, and of no account when r = 1.  So a mask's
-# flat nonzero indices address both gathers after one division.
+#   1/2 [ sum over d in o of cnt(d) (cnt(d) - 1)
+#         - sum over a in U, d in o, a ~ d of P_c[a, d] ].
+#
+# The missing edge of a path names its centre, so each of the C(n, 4)
+# subsets is counted once, by the path on its three smallest vertices.
+# Consecutive c share a run and one product: its left operand is A[:c1, U]
+# transposed, U over the run, and its right operand A[U, > c0], masked per
+# c to that c's U and stacked, so that P_c[x, d] for every c of the run
+# comes out at once; column sums of the right operand give cnt, and its
+# mask multiplied by the left operand gives deg_U.  Each product is
+# multiplied by A[x, d], and one small product per c sums its rows over e
+# and over o.  Nothing here forms a quotient, a class of twins or a
+# non-edge neighbourhood: every subset is decided by its third vertex and
+# its path's centre.
 
-# A chunk of the scan unpacks at most this many (b, c, a) cells, one byte
-# each; each operand stacked over a run of several c, and each gathered
-# (pairs, words) uint64 operand, holds at most this many bytes: the pairs of
-# a mask are gathered in slices that fill it.  At least one c, one b row and
-# one pair whatever the budget.
-_ENUM_BLOCK_BYTES = 1 << 17
+# A run takes consecutive c while its product, c1 rows by
+# (c1 - c0)(n - c0 - 1) float32 columns, holds at most this many bytes,
+# and at least one c.  Chosen by a sweep (BENCH_enum_products.json).
+_ENUM_RUN_BYTES = 1 << 18
+
+# A scan whose estimate (``_enum_bytes``) is at most this many bytes, as it
+# is for every graph under 115 vertices and some up to 152, is not checked
+# against physical memory: the interpreter with numpy loaded already holds
+# some 30 MB.
+_ENUM_UNCHECKED_BYTES = 1 << 20
 
 
 def _enum_runs(n: int) -> list[tuple[int, int]]:
     """The third vertices 2 <= c < n - 1 cut into runs [c0, c1) of
-    consecutive c, each as long as its cells and stacked operands fit
-    _ENUM_BLOCK_BYTES, and at least one c long."""
-    words = -(-n // 64)
+    consecutive c, each as long as its product fits _ENUM_RUN_BYTES, and
+    at least one c long."""
     runs = []
     c0 = 2
     while c0 < n - 1:
-        # a run [c0, c1 + 1) has c1 rows of b and of a, on the words from c0's
-        row_bytes = 8 * (words - ((c0 + 1) >> 6))
         c1 = c0 + 1
-        while c1 < n - 1 and (c1 + 1 - c0) * c1 * max(c1, row_bytes) <= _ENUM_BLOCK_BYTES:
+        while c1 < n - 1 and 4 * (c1 + 1) * (c1 + 1 - c0) * (n - c0 - 1) <= _ENUM_RUN_BYTES:
             c1 += 1
         runs.append((c0, c1))
         c0 = c1
     return runs
 
 
-def _run_operands(words: np.ndarray, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P stacked by (b, c) on rows b < c1 - 1, then P and Q stacked by
-    (c, a) on rows a < c1 - 2, for the run [c0, c1), on the words from the
-    first that holds a bit above c0."""
-    w0 = (c0 + 1) >> 6
-    tail = words[:, w0:]
-    cs = np.arange(c0, c1)
-    later = np.arange(64 * w0, 64 * words.shape[1]) > cs[:, None]
-    later = np.packbits(later, axis=1, bitorder="little").view("<u8")  # bits d > c
-    x_c = tail[c0:c1]
-    ends, off = x_c & later, ~x_c & later
-    rows, width = c1 - 1, tail.shape[1]
-    by_b = (tail[:rows, None] & ends).reshape(-1, width)
-    by_a = tail[: rows - 1]
-    return by_b, (by_a & ends[:, None]).reshape(-1, width), (by_a & off[:, None]).reshape(-1, width)
-
-
-def _enum_count_run(
-    packed: np.ndarray, words: np.ndarray, far: np.ndarray, c0: int, c1: int
-) -> tuple[int, int]:
-    """Induced 4-cycles {a < b < c < d} with c0 <= c < c1, and the chunk
-    passes that took; far is ~words."""
-    w0 = (c0 + 1) >> 6
-    tail, far = words[:, w0:], far[:, w0:]
-    ends_by_b, ends, off = _run_operands(words, c0, c1)
-    span, rows = c1 - c0, c1 - 1  # b < rows
-    cap = max(1, _ENUM_BLOCK_BYTES // (8 * tail.shape[1]))
-    inside = np.arange(rows) < np.arange(c0, c1)[:, None]
-    bits = np.unpackbits(packed[c0:c1], axis=1, count=rows, bitorder="little").view(bool)
-    sees, misses = bits & inside, ~bits & inside  # (c, v): cv or not, for v < c
-    bc_all, no_bc_all = sees.T[:, :, None], misses.T[:, :, None]  # (b, c)
-    # a run of several c is one chunk; a c alone takes its b in chunks
-    step = rows if span > 1 else max(1, _ENUM_BLOCK_BYTES // rows)
-    total = passes = 0
-    for b0 in range(1, rows, step):
-        b1 = min(b0 + step, rows)
-        width = b1 - 1
-        below = np.arange(width) < np.arange(b0, b1)[:, None]
-        ab = np.unpackbits(packed[b0:b1], axis=1, count=width, bitorder="little").view(bool)
-        ab, no_ab = (ab & below)[:, None], np.greater(below, ab)[:, None]
-        ac, no_ac = sees[:, :width], misses[:, :width]
-        bc, no_bc = bc_all[b0:b1], no_bc_all[b0:b1]
-        plane = span * width
-        for x, y, z, at_a, at_b, per in (
-            (ab, bc, no_ac, ends, far[b0:], plane),  # centre b: |P[a] & ~W[b]|
-            (ab, ac, no_bc, far, ends_by_b[b0 * span :], width),  # centre a: |~W[a] & P[b]|
-            (ac, bc, no_ab, off, tail[b0:], plane),  # centre c: |Q[a] & W[b]|
-        ):
-            a = (x & y & z).ravel().nonzero()[0]  # one mask alive at a time
-            b = a // per
-            a -= b * per
-            for s in range(0, len(a), cap):
-                both = at_a.take(a[s : s + cap], axis=0)
-                both &= at_b.take(b[s : s + cap], axis=0)
-                total += int(np.bitwise_count(both).sum())
-        passes += 1
-    return total, passes
+def _enum_run_bytes(n: int, c0: int, c1: int) -> int:
+    """A bound on the bytes of the run [c0, c1)'s arrays on n vertices, U
+    having fewer than c1 vertices: the left operand, c1 x c1 float32; the
+    right, gathered c1 x m and masked c1 x r m, for r = c1 - c0 values of c
+    and m = n - c0 - 1 vertices above c0; the product, c1 x r m, and its
+    float64 copy above _FLOAT32_SUM_ORDER; and 128 bytes for each (c, x)
+    and (c, d) pair, the masks, the per-vertex counts and their int64
+    terms."""
+    r, m = c1 - c0, n - c0 - 1
+    cells = c1 * r * m
+    wide = 8 * cells if n > _FLOAT32_SUM_ORDER else 0
+    return 4 * (c1 * c1 + c1 * m + 2 * cells) + wide + 128 * r * (c1 + m)
 
 
 def _enum_bytes(n: int) -> int:
     """A bound on the bytes of the exhaustive scan's large arrays on n
-    vertices: the padded word rows and their complement, p = 8 ceil(n / 64)
-    bytes a vertex each, and one chunk's arrays, 24 of at most
-    _ENUM_BLOCK_BYTES each, or of p n for a c too large to share a run:
-    its run's stacked operands, its cells and masks, the flat indices of a
-    mask (16 bytes a cell) and its gathered operands."""
-    rows = 8 * -(-n // 64) * n
-    return 2 * rows + 24 * max(_ENUM_BLOCK_BYTES, rows)
+    vertices: the adjacency in bool and in float32, 5 n**2 bytes, the
+    largest run's arrays (``_enum_run_bytes``) and 8 KiB for numpy's own
+    buffers, which reach 5-6 KB in unpacking a few rows."""
+    return 8192 + 5 * n * n + max((_enum_run_bytes(n, c0, c1) for c0, c1 in _enum_runs(n)), default=0)
+
+
+def _enum_count_run(a: np.ndarray, af: np.ndarray, c0: int, c1: int, sums, int64_sums: bool) -> int:
+    """Twice the induced 4-cycles {a < b < c < d} with c0 <= c < c1, from
+    the adjacency as bool, a, and as float32, af."""
+    n = len(a)
+    r, m = c1 - c0, n - c0 - 1
+    cs = np.arange(c0, c1)[:, None]
+    below, above = np.arange(c1) < cs, np.arange(c0 + 1, n) > cs
+    low, high = a[c0:c1, :c1], a[c0:c1, c0 + 1 :]
+    in_u, in_v = low & below, below > low  # (c, x): U and V of each c
+    in_e, in_o = high & above, above > high  # (c, d): e and o of each c
+    us = in_u.any(axis=0).nonzero()[0]  # U over the run
+    left = af[us, :c1]
+    right = af[us, c0 + 1 :]
+    mask = in_u[:, us].T.astype(np.float32)  # (u, c)
+    if r > 1:  # each c contracts over its own U; a lone c's is all of U
+        right = (right[:, None, :] * mask[:, :, None]).reshape(len(us), r * m)
+    paths = np.matmul(left.T, right).reshape(c1, r, m).transpose(1, 0, 2)  # (c, x, d): P_c[x, d]
+    deg = np.matmul(mask.T, left)  # (c, x): deg_U(x)
+    cnt = right.sum(axis=0).reshape(r, m)  # (c, d): cnt(d)
+    g = af[:c1, c0 + 1 :]
+    paths *= g  # only the d that x sees
+    sided = np.matmul(paths, np.stack((in_e, in_o), axis=2).astype(sums))  # (c, x): over e, over o
+    seen = np.matmul(in_e.astype(np.float32), g.T)  # (c, x): |N(x) & e|
+    deg, seen, cnt = deg.astype(np.int64), seen.astype(np.int64), cnt.astype(np.int64)
+    sided = sided.astype(np.int64)
+    terms = 2 * in_v * (deg * seen - sided[..., 0]) - in_u * sided[..., 1]
+    pairs = in_o * cnt * (cnt - 1)
+    if int64_sums:
+        return int(terms.sum()) + int(pairs.sum())
+    return sum(terms.ravel().tolist()) + sum(pairs.ravel().tolist())
 
 
 def _enum_count(packed: np.ndarray) -> tuple[int, int]:
-    """Induced 4-cycles of the graph with these packed rows, and the chunk
-    passes that took."""
-    n, width = packed.shape
-    padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, :width] = packed
-    words = padded.view("<u8")  # row v holds bits 64w .. 64w + 63 of v in word w
-    far = ~words
-    total = passes = 0
-    for c0, c1 in _enum_runs(n):
-        found, took = _enum_count_run(packed, words, far, c0, c1)
-        total += found
-        passes += took
-    return total, passes
+    """Induced 4-cycles of the graph with these packed rows, and the
+    products (runs) that took."""
+    n = len(packed)
+    # the arithmetic after the products, chosen from n alone (see
+    # count_induced_c4_enum for the bounds)
+    sums = np.float32 if n <= _FLOAT32_SUM_ORDER else np.float64
+    int64_sums = n <= _INT64_DOT_ORDER
+    a = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+    af = a.astype(np.float32)
+    runs = _enum_runs(n)
+    doubled = sum(_enum_count_run(a, af, c0, c1, sums, int64_sums) for c0, c1 in runs)
+    if doubled % 2:
+        raise CountParityError(f"doubled subset count {doubled} is odd: adjacency is not symmetric")
+    return doubled // 2, len(runs)
 
 
 def count_induced_c4_enum(
@@ -260,10 +250,35 @@ def count_induced_c4_enum(
     *,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> CountResult:
-    """Count induced 4-cycles by scanning all C(n, 4) vertex subsets.
+    """Count induced 4-cycles by scanning all C(n, 4) vertex subsets, by
+    float32 products.
 
     Refuses (raises SubsetCapExceeded) when C(n, 4) exceeds ``subset_cap``;
-    a refusal is explicit, never a silently truncated count.
+    a refusal is explicit, never a silently truncated count.  Then refuses
+    (VertexCapExceeded) a scan whose estimate ``_enum_bytes`` exceeds
+    physical memory, before any array exists; a scan estimated at
+    _ENUM_UNCHECKED_BYTES (1 MiB) or less is not checked.
+
+    The products are exact integer arithmetic below 2**24 vertices:
+
+    * The products, in float32.  Their operands are 0/1, and the entries
+      P_c[x, d], deg_U(x) and cnt(d) count vertices of U, at most n, and
+      |N(x) & e| at most n.  Each is reached through partial sums of
+      non-negative integers that never exceed it, in any order of
+      summation, and float32 represents each exactly while n < 2**24.
+    * The sums of P_c[x, d] over the d in e and in o that x sees, in
+      float32 up to n = 4096 (``_FLOAT32_SUM_ORDER``), else in float64.
+      Each is at most |U| (n - c - 1) <= c (n - c) <= n**2 / 4, with
+      partial sums no larger, below 2**22 up to n = 4096 and below 2**53
+      beyond.
+    * The terms, in int64: each is at most n**2 in size.  A run's terms
+      add up, in int64 up to n = 2**15 (``_INT64_DOT_ORDER``), else in
+      Python ints: the positive ones over a c are at most 2 c**2 (n - c)
+      + (n - c) c**2 < n**3, so a run's partial sums stay below 2 n**4,
+      under 2**63 while n <= 2**15.  Runs add up in Python ints.
+
+    The memory refusal stops every larger graph on a platform that reports
+    its memory: the adjacency alone takes 5 n**2 bytes, over 10**15.
     """
     start = time.perf_counter()
     subsets = comb(g.n, 4)
@@ -272,8 +287,11 @@ def count_induced_c4_enum(
             f"enumeration over {subsets} subsets exceeds the cap of {subset_cap}; "
             "raise --subset-cap or use the diagonal method"
         )
+    need = _enum_bytes(g.n)
+    if need > _ENUM_UNCHECKED_BYTES:
+        graphs._check_memory(f"the exhaustive scan of {g.n} vertices", need)
     value, passes = _enum_count(g.packed)
-    work = {"subsets": subsets, "passes": passes, "bytes": _enum_bytes(g.n)}
+    work = {"subsets": subsets, "passes": passes, "bytes": need}
     return CountResult(value, Method.ENUMERATION, time.perf_counter() - start, work)
 
 
@@ -365,11 +383,13 @@ _DIAGONAL_WIDE_BYTES = 8 << 20
 _DIAGONAL_WINDOW_BYTES = 2 << 20
 
 # The largest order whose weighted sums 2 e(S_v) <= deg(u)^2 stay below
-# 2**24, so that they are taken in float32; above it, in float64.
+# 2**24, so that they are taken in float32; above it, in float64.  The
+# subset scan's row sums, at most n^2 / 4, follow the same order.
 _FLOAT32_SUM_ORDER = 1 << 12
 
 # The largest order whose doubled count 4 T < n^4 / 6 stays below 2**63, so
 # that the rows are weighted by one int64 dot; above it, in Python ints.
+# The subset scan's run sums, below 2 n^4, follow the same order.
 _INT64_DOT_ORDER = 1 << 15
 
 

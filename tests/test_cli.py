@@ -20,7 +20,7 @@ from blowup_census import (
     read_edge_list,
     write_edge_list,
 )
-from blowup_census import cli, graphs
+from blowup_census import cli, counting, graphs
 from blowup_census.cli import main
 from helpers import child_env, complete_graph
 
@@ -126,7 +126,7 @@ def test_count_json_record(tmp_path, capsys):
         "diagonal": 404,
     }
     assert {r["method"]: r["work"] for r in record["results"]} == {
-        "enum": {"subsets": 1820, "passes": 1, "bytes": 3145984},
+        "enum": {"subsets": 1820, "passes": 1, "bytes": 78024},
         "diagonal": {
             "neighbourhoods": 8,
             "rows": 16,
@@ -461,6 +461,28 @@ def test_diagonal_beyond_physical_memory(capsys, monkeypatch):
     monkeypatch.setattr(graphs, "_physical_memory", lambda: 7197)
     assert main(["count", "--family", "c4", "--level", "1", "--method", "diagonal"]) == 0
     assert "diagonal: 404" in capsys.readouterr().out
+
+
+def test_enumeration_beyond_physical_memory(capsys, monkeypatch):
+    # c4 level 3's scan (256 vertices) is estimated above 1 MiB, so it is
+    # refused from its estimate (the adjacency in bool and float32 and the
+    # largest run): count exits 2 and verify records the cap there, while
+    # levels 0-2, estimated under 1 MiB, are not checked and the diagonal
+    # counter's 684581 bytes fit
+    need = counting._enum_bytes(256)
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: need - 1)
+    assert main(["count", "--family", "c4", "--level", "3", "--method", "enum"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the exhaustive scan of 256 vertices would take {need} bytes "
+        f"(0.0 GiB), more than the {need - 1} bytes of physical memory\n"
+    )
+    assert main(["verify", "--family", "c4", "--max-level", "3", "--format", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert [rec["T_enum"] for rec in levels] == [1, 404, 114512, "skipped: cap"]
+    assert [rec["T_diagonal"] for rec in levels] == [1, 404, 114512, 30051648]
+    monkeypatch.setattr(graphs, "_physical_memory", lambda: need)
+    assert main(["count", "--family", "c4", "--level", "3", "--method", "enum"]) == 0
+    assert "enum: 30051648" in capsys.readouterr().out
 
 
 def test_missing_file_exit_code(capsys):

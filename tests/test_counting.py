@@ -118,7 +118,7 @@ def test_diagonal_matches_enumeration_across_densities():
         )
 
 
-# Sizes around the 64-bit word boundaries of the bit-sliced subset scan.
+# Sizes around multiples of 64.
 _WORD_EDGE_SIZES = [62, 63, 64, 65, 66, 127, 128, 129]
 
 
@@ -167,52 +167,180 @@ def test_enumeration_across_chunks(monkeypatch):
     ]
     expected = [count_induced_c4_enum(g).value for g in graphs]
     assert expected[:2] == [114512, 1947705]
-    for budget in (1, 8 * 3 * 64):
-        # one b row per chunk, then a few, with chunk edges falling mid-way
-        # through the words
-        monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
+    for budget in (1, 1 << 12):
+        # one c per product, then runs of a few c
+        monkeypatch.setattr(counting, "_ENUM_RUN_BYTES", budget)
         for g, value in zip(graphs, expected):
             assert count_induced_c4_enum(g).value == value, f"budget={budget} n={g.n}"
 
 
 def test_enumeration_chunks_stay_under_the_budget(monkeypatch):
-    # every gathered operand is handed to the popcount, and every operand
-    # stacked over a run of c comes from _run_operands; the scan fills both
-    # up to the budget and never past it
+    # every run's product goes through np.matmul as its largest operand;
+    # the runs cover every third vertex once, and a run of several c keeps
+    # its product within the budget and fills it past a quarter
     g = random_graph(200, 0.5, 3)
-    budget = 1 << 14
-    largest = stacked = 0
-    real_bitwise_count = np.bitwise_count
-    real_run_operands = counting._run_operands
+    budget = 1 << 16
+    monkeypatch.setattr(counting, "_ENUM_RUN_BYTES", budget)
+    runs = counting._enum_runs(g.n)
+    assert [c for c0, c1 in runs for c in range(c0, c1)] == list(range(2, g.n - 1))
+    products = []
+    real_matmul = np.matmul
 
-    def spy(x, *args, **kwargs):
-        nonlocal largest
-        largest = max(largest, x.nbytes)
-        return real_bitwise_count(x, *args, **kwargs)
+    def spy(a, b, *args, **kwargs):
+        out = real_matmul(a, b, *args, **kwargs)
+        products.append(out.nbytes)
+        return out
 
-    def spy_operands(words, c0, c1):
-        nonlocal stacked
-        operands = real_run_operands(words, c0, c1)
-        stacked = max(stacked, *(x.nbytes for x in operands))
-        return operands
-
-    monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
-    monkeypatch.setattr(np, "bitwise_count", spy)
-    monkeypatch.setattr(counting, "_run_operands", spy_operands)
+    monkeypatch.setattr(np, "matmul", spy)
     result = count_induced_c4_enum(g)
-    tracemalloc.start()
-    try:
-        count_induced_c4_enum(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     monkeypatch.undo()
-    assert result.value == count_induced_c4_enum(g).value
-    assert budget // 4 < largest <= budget
-    assert budget // 4 < stacked <= budget
-    # the reported bound covers the chunks, and every traced array with them
-    assert result.work["bytes"] == 2 * 200 * 32 + 24 * budget
-    assert max(largest, stacked) < peak <= result.work["bytes"]
+    assert result.work["passes"] == len(runs) > 1
+    # four products a run: the paths, deg_U, the sums over e and o, and
+    # |N(x) & e|
+    largest = products[::4]
+    assert len(largest) == len(runs)
+    several = [size for size, (c0, c1) in zip(largest, runs) if c1 - c0 > 1]
+    assert several and max(several) <= budget
+    assert budget // 4 < max(several)
+    assert result.value == count_induced_c4_diagonal(g).value
+
+
+@pytest.mark.parametrize("budget", ["one", "default"])
+def test_enumeration_at_both_run_budgets(monkeypatch, budget):
+    # Interleaved small parts (brute force on each part), seeded G(n, p)
+    # across densities and randomly relabelled nested blow-ups, from a few
+    # dozen vertices to a few hundred: each counted by the scan and by the
+    # diagonal counter, at a run budget of 1 byte (one c a product) and at
+    # the default
+    if budget == "one":
+        monkeypatch.setattr(counting, "_ENUM_RUN_BYTES", 1)
+    rng = random.Random(f"run-budgets-{budget}")
+    graphs = [_interleaved_parts(n, f"run-budgets-{n}") for n in (40, 100, 127, 128, 129, 195)]
+    for k, p in enumerate((0.05, 0.3, 0.6, 0.95)):
+        for n in (30, 126, 130):
+            graphs.append((random_graph(n, p, 100 * n + k), None))
+    for family, level in ((Family.C4, 3), (Family.THETA222, 2)):
+        g = nested_blowup(base_graph(family), level)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append((relabel(g, perm), None))
+    for g, expected in graphs:
+        value = count_induced_c4_enum(g).value
+        assert value == count_induced_c4_diagonal(g).value, g.n
+        if expected is not None:
+            assert value == expected >= 20, g.n
+    assert count_induced_c4_enum(graphs[-2][0]).value == 30051648
+
+
+@pytest.mark.parametrize("budget", ["one", "default"])
+def test_enumeration_bytes_bound_the_traced_peak(monkeypatch, budget):
+    # every array the scan allocates is traced; its peak stays within the
+    # reported bound, at 1-byte runs and at the default, on graphs of 16 to
+    # 300 vertices
+    if budget == "one":
+        monkeypatch.setattr(counting, "_ENUM_RUN_BYTES", 1)
+    graphs = [
+        nested_blowup(base_graph(Family.C4), 3),
+        random_graph(200, 0.5, 200),
+        random_graph(128, 0.1, 7),
+        nested_blowup(base_graph(Family.C4), 1),
+        _interleaved_parts(300, "traced")[0],
+    ]
+    for g in graphs:
+        count_induced_c4_enum(g)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            result = count_induced_c4_enum(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 5 * g.n * g.n < peak <= result.work["bytes"], (g.n, budget)
+
+
+@pytest.mark.parametrize(
+    "float32_order, int64_order, sums, int64_sums",
+    [
+        (counting._FLOAT32_SUM_ORDER, counting._INT64_DOT_ORDER, np.float32, True),
+        (-1, counting._INT64_DOT_ORDER, np.float64, True),
+        (-1, -1, np.float64, False),
+    ],
+    ids=["float32-sums-int64-runs", "float64-sums-int64-runs", "float64-sums-python-ints"],
+)
+def test_enumeration_arithmetic_regimes(monkeypatch, float32_order, int64_order, sums, int64_sums):
+    # the orders at which the products' row sums leave float32 and the run
+    # sums leave int64, moved below every test graph to run the arithmetic
+    # that graphs beyond them take; small graphs are checked by brute force
+    graphs = [random_graph(n, p, seed) for seed, (n, p) in enumerate([(9, 0.5), (14, 0.3), (16, 0.7), (20, 0.5)])]
+    graphs += [g for g in _planted_twin_graphs()[:40:3] if g.n >= 4]
+    graphs += [nested_blowup(base_graph(Family.C4), 3), random_graph(150, 0.4, 150)]
+    expected = [count_induced_c4_diagonal(g).value for g in graphs]
+    dtypes = set()
+    sums_taken = 0
+    real_matmul = np.matmul
+
+    def spy_matmul(a, b, *args, **kwargs):
+        dtypes.add(b.dtype.type)
+        return real_matmul(a, b, *args, **kwargs)
+
+    def spy_sum(values, *args):
+        nonlocal sums_taken
+        sums_taken += isinstance(values, list)  # a run's terms, as Python ints
+        return sum(values, *args)
+
+    monkeypatch.setattr(counting, "_FLOAT32_SUM_ORDER", float32_order)
+    monkeypatch.setattr(counting, "_INT64_DOT_ORDER", int64_order)
+    monkeypatch.setattr(np, "matmul", spy_matmul)
+    monkeypatch.setattr(counting, "sum", spy_sum, raising=False)
+    for g, value in zip(graphs, expected):
+        assert count_induced_c4_enum(g).value == value, g.rows if g.n <= 30 else g.n
+        if g.n <= 16:
+            assert value == brute_force_c4_count(g)
+    monkeypatch.undo()
+    assert (sums in dtypes) and (np.float64 in dtypes) == (sums is np.float64)
+    assert (sums_taken == 0) == int64_sums
+
+
+def test_enumeration_checks_parity():
+    # the C4 0-2-1-3-0 plus a one-way entry 0 -> 1 inside U = {0, 1} of
+    # c = 2, both seen by d = 3: the edges among them, counted once as an
+    # ordered pair instead of twice, make the doubled count odd
+    adj = np.zeros((4, 4), dtype=np.uint8)
+    for a, b in [(0, 2), (1, 2), (0, 3), (1, 3)]:
+        adj[a, b] = adj[b, a] = 1
+    assert counting._enum_count(np.packbits(adj, axis=1, bitorder="little")) == (1, 1)
+    adj[0, 1] = 1
+    with pytest.raises(CountParityError, match="odd"):
+        counting._enum_count(np.packbits(adj, axis=1, bitorder="little"))
+
+
+def test_enumeration_beyond_physical_memory(monkeypatch):
+    # a scan estimated above _ENUM_UNCHECKED_BYTES is refused from its
+    # estimate before anything is unpacked or allocated, the subset cap
+    # being checked first; a scan estimated at or below it is not checked
+    n = 200
+    g = random_graph(n, 0.5, 11)
+    need = counting._enum_bytes(n)
+    assert need == 8192 + 5 * n**2 + max(counting._enum_run_bytes(n, *run) for run in counting._enum_runs(n))
+    small = random_graph(100, 0.5, 12)
+    assert counting._enum_bytes(small.n) <= counting._ENUM_UNCHECKED_BYTES < need
+    expected = [count_induced_c4_diagonal(h).value for h in (g, small)]
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(np, "unpackbits", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(VertexCapExceeded, match=f"exhaustive scan of {n} vertices would take {need} bytes"):
+                count_induced_c4_enum(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10 < need
+        with pytest.raises(SubsetCapExceeded):
+            count_induced_c4_enum(g, subset_cap=comb(n, 4) - 1)
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: 1)
+    assert count_induced_c4_enum(small).value == expected[1]
+    monkeypatch.setattr(graphs_module, "_physical_memory", lambda: need)
+    assert count_induced_c4_enum(g).value == expected[0]
 
 
 # The diagonal counter's byte budgets: at 1 byte each, every window and
@@ -276,20 +404,18 @@ def _interleaved_parts(n: int, seed: str) -> tuple[Graph, int]:
 
 @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
 def test_enumeration_runs_at_word_boundaries(n, monkeypatch):
-    # budgets of b chunks of a few rows that end mid-word, of runs of
-    # several c across the first word boundary, and the default
+    # run budgets of one c a product, of a few c and the default, on sizes
+    # around multiples of 64
     g, expected = _interleaved_parts(n, f"runs-{n}")
     assert expected >= 20
-    straddled = chunked_mid_word = False
-    for budget in (200, 1536, 1 << 14, counting._ENUM_BLOCK_BYTES):
-        monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
+    lengths = set()
+    for budget in (1, 1 << 12, 1 << 15, counting._ENUM_RUN_BYTES):
+        monkeypatch.setattr(counting, "_ENUM_RUN_BYTES", budget)
         runs = counting._enum_runs(n)
         assert [c for c0, c1 in runs for c in range(c0, c1)] == list(range(2, n - 1))
-        straddled |= any(c1 - c0 > 1 and (c0 + 1) >> 6 != c1 >> 6 for c0, c1 in runs)
-        chunked_mid_word |= any(c1 - c0 == 1 and 64 < c0 and (budget // c0) % 64 for c0, c1 in runs)
+        lengths |= {c1 - c0 for c0, c1 in runs}
         assert count_induced_c4_enum(g).value == expected, f"budget={budget}"
-    assert straddled == (n > 64)
-    assert chunked_mid_word == (n > 66)
+    assert 1 in lengths and max(lengths) > 2
 
 
 def _path_centres(g: Graph) -> list[str]:
@@ -332,8 +458,8 @@ def test_enumeration_by_path_centre(centre, monkeypatch):
     expected = sum(brute_force_c4_count(g) for g in parts)
     assert expected >= 16
     assert count_induced_c4_enum(whole).value == expected
-    for budget in (1, 8 * 3 * 64):
-        monkeypatch.setattr(counting, "_ENUM_BLOCK_BYTES", budget)
+    for budget in (1, 1 << 12):
+        monkeypatch.setattr(counting, "_ENUM_RUN_BYTES", budget)
         assert count_induced_c4_enum(whole).value == expected, f"budget={budget}"
 
 
@@ -793,17 +919,25 @@ def test_diagonal_work_counters(monkeypatch):
             assert works[0]["passes"] == sum(1 for u in range(g.n) if far[u])
             assert works[0]["columns"] == sum(adjacency[u].bit_count() for u in range(g.n) if far[u])
     assert merged >= 300 and spanned >= 50 and across >= 50
-    enum_bytes = 16 * 5 + 24 * counting._ENUM_BLOCK_BYTES  # one word a vertex
-    assert count_induced_c4_enum(cycle_graph(5)).work == {"subsets": 5, "passes": 1, "bytes": enum_bytes}
+    # the scan: one pass a run of products, and numpy's buffers and the
+    # adjacency in bool and float32 beside the largest run; graphs under 4
+    # vertices take no run
+    assert count_induced_c4_enum(cycle_graph(5)).work == {
+        "subsets": 5,
+        "passes": 1,
+        "bytes": 8192 + 5 * 5**2 + counting._enum_run_bytes(5, 2, 4),
+    }
     for g in (empty_graph(0), empty_graph(1), complete_graph(2), cycle_graph(3)):
         result = count_induced_c4_enum(g)
-        assert (result.value, result.work) == (0, {"subsets": 0, "passes": 0, "bytes": 16 * g.n + 24 * (1 << 17)})
-    # a 100-vertex graph: four runs of c, one pass each, two words a vertex
-    assert count_induced_c4_enum(random_graph(100, 0.5, 1)).work == {
-        "subsets": comb(100, 4),
-        "passes": 4,
-        "bytes": 32 * 100 + 24 * (1 << 17),
-    }
+        assert (result.value, result.work) == (0, {"subsets": 0, "passes": 0, "bytes": 8192 + 5 * g.n**2})
+    for g, passes in ((random_graph(100, 0.5, 1), 5), (nested_blowup(base_graph(Family.C4), 3), 52)):
+        runs = counting._enum_runs(g.n)
+        assert len(runs) == passes
+        assert count_induced_c4_enum(g).work == {
+            "subsets": comb(g.n, 4),
+            "passes": passes,
+            "bytes": 8192 + 5 * g.n**2 + max(counting._enum_run_bytes(g.n, *run) for run in runs),
+        }
 
 
 def test_odd_raw_sum_raises(monkeypatch):

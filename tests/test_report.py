@@ -145,10 +145,16 @@ def test_work_counters_outside_the_substance():
     # packed rows of one word; the 12 merged rows held, 24 bytes each; the
     # union's 9 columns (the class of ones among them), 9 * (16 * 8 + 5 *
     # 9 + 8); and the 12 rows on them, 12 * (2 * 8 + 10 * 9 + 40).  The
-    # scan's bytes are its 16 padded word rows and their complement, 2 * 16
-    # * 8, and 24 chunk budgets
+    # scan's bytes are 8 KiB for numpy's buffers, its adjacency in bool and
+    # float32, 5 * 16**2, and its one run of products, c = 2..14 on 15 rows
+    # and 13 columns a c: 4 * (15**2 + 15 * 13 + 2 * 15 * 13 * 13) + 128 *
+    # 13 * (15 + 13)
     assert report.levels[1].work == {
-        "enum": {"subsets": 1820, "passes": 1, "bytes": 2 * 16 * 8 + 24 * (1 << 17)},
+        "enum": {
+            "subsets": 1820,
+            "passes": 1,
+            "bytes": 8192 + 5 * 16**2 + 4 * (15**2 + 15 * 13 + 2 * 15 * 13 * 13) + 128 * 13 * (15 + 13),
+        },
         "diagonal": {
             "neighbourhoods": 8,
             "rows": 16,
