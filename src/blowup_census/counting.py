@@ -379,8 +379,12 @@ _DIAGONAL_WIDE_BYTES = 8 << 20
 # The product rows are gathered, packed, and merged in windows of
 # consecutive members whose packed rows hold at most this many bytes, and
 # at least one member.  Stacks span windows, so a sweep from 1 to 16 MiB
-# moved the time by no more than noise and the peak by the window.
-_DIAGONAL_WINDOW_BYTES = 2 << 20
+# moved the time by no more than noise and the peak by the window.  Below
+# 1 MiB the windows' own calls show: at 512 and 256 KiB, C5 N=4 took 6-13%
+# longer (BENCH_exact_width_writer.json).  At 1 MiB c4 N=4's traced peak
+# is 2.9 MB against 5.3 MB at 2 MiB; theta N=3's 12650 rows still fit one
+# window.
+_DIAGONAL_WINDOW_BYTES = 1 << 20
 
 # The largest order whose weighted sums 2 e(S_v) <= deg(u)^2 stay below
 # 2**24, so that they are taken in float32; above it, in float64.  The

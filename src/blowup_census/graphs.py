@@ -53,10 +53,16 @@ DEFAULT_VERTEX_CAP = 1 << 20
 # it never copies the whole packed matrix.
 _VALIDATE_BLOCK_BYTES = 1 << 22
 
-# The edge-list writer unpacks row stripes of about this many cells (at least
-# one row), small enough that a stripe's bits and tokens stay in cache:
-# stripes of _VALIDATE_BLOCK_BYTES cells wrote theta L4 1.3x slower.
+# The edge-list writer unpacks row stripes of at most _WRITE_STRIPE_CELLS
+# cells, small enough that a stripe's bits and records stay in cache, but
+# never fewer than _WRITE_STRIPE_ROWS rows: a stripe costs a dozen numpy
+# calls per band of ids.  A sweep (BENCH_exact_width_writer.json) of 2^14
+# to 2^17 cells wrote c4 L4 in 4.1, 3.1, 2.7 and 2.7 ms and theta L4 in
+# 27, 27, 26 and 26 ms, at a traced peak of 1.1, 1.1, 1.3 and 2.6 MiB;
+# floors of 1, 8, 16 and 32 rows wrote G(20000, 0.0005) in 329, 240, 245
+# and 250 ms.
 _WRITE_STRIPE_CELLS = 1 << 16
+_WRITE_STRIPE_ROWS = 16
 
 
 class GraphFormatError(ValueError):
@@ -453,44 +459,74 @@ def non_edges(g: Graph) -> Iterator[tuple[int, int]]:
 
 
 def _edge_list_chunks(g: Graph) -> Iterator[bytes]:
-    """The edge-list text of g as ASCII bytes in pieces, each ending in a
-    newline: the vertex-count line, then the lines "u v" of one row stripe.
+    """The edge-list text of g as ASCII bytes in pieces, each non-empty and
+    ending in a newline: the vertex-count line, then the lines "u v" of one
+    row stripe.
 
-    Every id has two fixed-width tokens, "u " and "v\\n", NUL-padded to the
-    width of the longest.  A stripe's bits above the diagonal select the
-    "v\\n" tokens row-major, and each row's "u " token is repeated once per
-    selected bit, into "u v" records in ascending (u, v) order; deleting the
-    NULs leaves the text.  A stripe whose first row id has the full width
-    has none to delete, since every later id has it too.
+    Ids of one decimal width form a band, [0, 10), [10, 100), ... cut to
+    [0, n), and no row stripe crosses a band edge.  A stripe's lines into
+    one band of tails are records of two exact-width fields, "u " and
+    "v\\n": each row's record, with an empty tail, is repeated once per bit
+    above the diagonal in that band, and the bits select the tails row-major.
+    A stripe whose lines reach several bands joins each row's pieces in band
+    order.
     """
     n = g.n
     yield b"%d\n" % n
     if n < 2:
         return
     packed = g.packed
-    width = len(str(n - 1)) + 1
-    heads = np.array([b"%d " % u for u in range(n)], dtype=f"S{width}")
-    tails = np.array([b"%d\n" % v for v in range(n)], dtype=f"S{width}")
-    line = np.dtype([("u", heads.dtype), ("v", tails.dtype)])
-    step = min(n, max(1, _WRITE_STRIPE_CELLS // n))
+    # band k: the ids of k + 1 digits, from starts[k]
+    starts = [0] + [10**k for k in range(1, len(str(n - 1)))]
+    bands = list(zip(starts, starts[1:] + [n]))
+    tails = [np.array([b"%d\n" % v for v in range(lo, hi)], dtype=f"S{k + 2}") for k, (lo, hi) in enumerate(bands)]
+    step = min(n, max(_WRITE_STRIPE_ROWS, _WRITE_STRIPE_CELLS // n))
     # keep[r, c]: column i + 1 + c lies above the diagonal in row i + r
     keep = np.triu(np.ones((step, step), dtype=bool))
-    for i in range(0, n, step):
-        j = min(i + step, n)
-        stripe = np.unpackbits(packed[i:j], axis=1, count=n, bitorder="little").view(bool)
-        above = stripe[:, i + 1 :]
-        corner = above[:, :step]
-        corner &= keep[: j - i, : corner.shape[1]]
-        per_row = np.count_nonzero(above, axis=1)
-        lines = np.empty(int(per_row.sum()), dtype=line)
-        if lines.size:
-            lines["u"] = np.repeat(heads[i:j], per_row)
-            lines["v"] = np.broadcast_to(tails[i + 1 :], above.shape)[above]
-            text = lines.tobytes()
-            yield text if len(str(i)) + 1 == width else text.translate(None, b"\0")
+    for h, (lo, hi) in enumerate(bands):
+        # "u " is band h's tail "u\n" with its newline made a space
+        heads = np.frombuffer(tails[h].tobytes().replace(b"\n", b" "), dtype=tails[h].dtype)
+        # records[t - h][u - lo]: "u " and an empty tail of band t's width
+        records = [np.zeros(hi - lo, dtype=[("u", heads.dtype), ("v", tail.dtype)]) for tail in tails[h:]]
+        for line in records:
+            line["u"] = heads
+        for i in range(lo, hi, step):
+            j = min(i + step, hi)
+            if i + 1 == n:
+                break
+            # columns from i + 1 on, unpacked from the byte that holds i + 1
+            c0 = (i + 1) >> 3
+            stripe = np.unpackbits(packed[i:j, c0:], axis=1, count=n - 8 * c0, bitorder="little").view(bool)
+            above = stripe[:, i + 1 - 8 * c0 :]
+            corner = above[:, :step]
+            corner &= keep[: j - i, : corner.shape[1]]
+            # the bands of tails this stripe sees, as column ranges of above
+            first = h + (i + 1 == hi)
+            cuts = [0] + [s - i - 1 for s in starts[first + 1 :]]
+            per_row = np.add.reduceat(above, cuts, axis=1, dtype=np.intp)
+            pieces = []
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:] + [n - i - 1])):
+                count = per_row[:, k]
+                if not count.any():
+                    continue
+                t = first + k
+                lines = np.repeat(records[t - h][i - lo : j - lo], count)
+                chosen = tails[t][i + 1 + a - starts[t] : i + 1 + b - starts[t]]
+                lines["v"] = np.broadcast_to(chosen, (j - i, b - a))[above[:, a:b]]
+                pieces.append((lines, count))
+            if len(pieces) == 1:
+                yield pieces[0][0].tobytes()
+            elif pieces:
+                views, ends = [], []
+                for lines, count in pieces:
+                    views.append(memoryview(lines.view(np.uint8)))
+                    ends.append([0, *np.cumsum(count * lines.itemsize).tolist()])
+                yield b"".join([v[e[r] : e[r + 1]] for r in range(j - i) for v, e in zip(views, ends)])
 
 
 def write_edge_list(g: Graph) -> str:
+    """The edge-list text of g (see the format above): the vertex count,
+    then one line "u v" per edge with u < v, in ascending (u, v) order."""
     return b"".join(_edge_list_chunks(g)).decode("ascii")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import subprocess
@@ -903,13 +904,29 @@ def test_rows_from_pairs_sorted_and_shuffled(monkeypatch, n, p, stripe_rows, str
             assert _outcome(read_edge_list, text) == expected
 
 
-def test_write_edge_list_matches_reference_random():
+def _matching_across(n: int) -> Graph:
+    """The perfect matching u - (n - 1 - u): row u < n / 2 has one edge,
+    to an id at least as wide as u."""
+    return Graph.from_edges(n, [(u, n - 1 - u) for u in range(n // 2)])
+
+
+def _narrow_sees_only_wide(n: int) -> Graph:
+    """A seeded graph on n vertices in which every id narrower than n - 1
+    is joined only to ids as wide as n - 1."""
+    wide = 10 ** (len(str(n - 1)) - 1)
+    upper = np.triu(np.random.default_rng(n).random((n, n)) < 0.3, 1)
+    upper[:wide, :wide] = False
+    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    return Graph._from_packed(packed)
+
+
+def test_write_edge_list_matches_reference_random(monkeypatch):
     rng = random.Random(2024)
     cases = [random_graph(rng.randint(0, 60), rng.random(), seed) for seed in range(60)]
     for n in (0, 1, 8, 9):
         cases += [empty_graph(n), complete_graph(n)]
     # the id width grows at n = 11, 101 and 1001, and from n = 257 on the
-    # writer splits the rows into several stripes
+    # default stripes split the rows into several
     for n in (9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1025):
         cases += [_numpy_random_graph(n, p, n) for p in (0.002, 0.05, 0.5)]
         cases += [empty_graph(n), complete_graph(n)]
@@ -918,10 +935,38 @@ def test_write_edge_list_matches_reference_random():
         cases.append(Graph.from_edges(n, [(0, v) for v in range(1, n)]))
         cases.append(_with_isolated(_numpy_random_graph(n // 3, 0.5, n), n))
         cases.append(_with_isolated(_numpy_random_graph(n - 1, 0.05, n), n))
-    for g in cases:
-        text = write_edge_list(g)
-        assert text == _reference_edge_list(g), g
-        assert read_edge_list(text) == g
+    # stripes meet the edges of the id bands: low rows that see only wider
+    # ids, and narrow rows that skip the band of their own width
+    for n in (10, 11, 100, 101, 1000, 1001):
+        cases += [_matching_across(n), _narrow_sees_only_wide(n)]
+    texts = [_reference_edge_list(g) for g in cases]
+    # stripes of 1 and 7 rows, and the default
+    for rows in (1, 7, None):
+        with monkeypatch.context() as patch:
+            if rows is not None:
+                patch.setattr(graphs_module, "_WRITE_STRIPE_CELLS", 1)
+                patch.setattr(graphs_module, "_WRITE_STRIPE_ROWS", rows)
+            for g, expected in zip(cases, texts):
+                chunks = list(graphs_module._edge_list_chunks(g))
+                assert all(chunk and chunk.endswith(b"\n") for chunk in chunks), (g, rows)
+                text = b"".join(chunks).decode("ascii")
+                assert text == expected == write_edge_list(g), (g, rows)
+                if rows is None:
+                    assert read_edge_list(text) == g
+
+
+def test_edge_list_digests_at_level_4():
+    # the level-4 texts' SHA-256, so that no byte of them moves unseen
+    digests = {
+        Family.THETA222: (27020141, "8e5f632db4d1113fbcf3f5d28ad619c263e20cc9b0c7fdc80dcde2525bf58766"),
+        Family.C4: (2734825, "0a12b898ea6e4dc9830187a089a53c0a809c3aa7a57dbdc9615e7a19b49e5ebc"),
+    }
+    for family, (size, digest) in digests.items():
+        written, sha = 0, hashlib.sha256()
+        for chunk in graphs_module._edge_list_chunks(nested_blowup(base_graph(family), 4)):
+            written += len(chunk)
+            sha.update(chunk)
+        assert (written, sha.hexdigest()) == (size, digest), family
 
 
 def test_edge_list_chunks_stream_in_bounded_memory():
